@@ -3,18 +3,39 @@
 Every node gets one primed Bernoulli input that carries its local
 probability; the node itself becomes a deterministic gate: And and Leaf
 nodes conjoin their parents with the primed input, Or nodes disjoin the
-parents and conjoin the primed input. Iterating the gates synchronously
-from the all-zero state walks the attacker forward one step per tick.
-Because the update is monotone in {0,1}, every instantiation of the
-primed inputs settles into a unique fixed point after at most one step
-per node, cycles included.
+parents and conjoin the primed input. :func:`step` updates the gates
+synchronously, walking the attacker forward one move per tick, and
+:func:`fixed_point` repeats it from the all-zero state until the state
+repeats. Because the update is monotone in {0,1}, every instantiation of
+the primed inputs settles into a unique least fixed point after at most
+one step per node, cycles included. These two functions are the
+reference semantics.
+
+The engine evaluates many instantiations at once, one per column of a
+(nodes x instantiations) cell matrix, in a single pass over the strongly
+connected components of the graph in topological order of their
+condensation. A node on no cycle is evaluated once from its finished
+parents; the members of a cyclic component are swept until a sweep
+changes nothing. The cell dtype selects one of two modes:
+
+* Reachability (bool cells) gives the least fixed point itself, iterated
+  upwards from all-off.
+* Ticks (the narrowest signed integer that holds n + 1) gives the tick
+  at which each node first turns on in the synchronous trajectory, with
+  n + 1 for never. An And or Leaf node fires one tick after its last
+  parent, an Or node one tick after its first, either only if its primed
+  input is on; an Or without parents never fires. This AND/OR
+  shortest-path system (Knuth 1977) is iterated downwards from never,
+  which reaches its greatest solution: the first-hit ticks.
 
 The probability that a node is ever reached is then a reachability
 probability over instantiations of the primed inputs. It is computed
 exactly by weighted enumeration of the inputs with fractional
 probabilities (:func:`reachability_exact`) or estimated by sampling
-(:func:`reachability_mc`). On acyclic graphs the exact value agrees with
-variable elimination; on cyclic graphs it is the reference semantics.
+(:func:`reachability_mc`). Both work through the instantiations in
+chunks whose cell matrix fits :data:`CHUNK_BUDGET_BYTES`. On acyclic
+graphs the exact value agrees with variable elimination; on cyclic
+graphs it is the reference semantics.
 """
 
 from __future__ import annotations
@@ -27,10 +48,13 @@ import numpy as np
 
 from .errors import TooLargeError, UnknownNodeError
 from .graph import AttackGraph, NodeKind
-from .propagate import _AND, _LEAF, _OR, _Compiled, _compile
+from .propagate import _OR, _Compiled, _compile
 
 EXACT_ENUM_LIMIT = 24
-_CHUNK_BITS = 20
+MC_SAMPLE_LIMIT = 1 << 32
+# Bytes one chunk's cell matrix may take. Graphs of up to 64 nodes get
+# 2^20 bool columns per chunk, as many as the engine used to take.
+CHUNK_BUDGET_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -116,38 +140,98 @@ def fixed_point(aug: AugmentedGraph, inst: Instantiation) -> tuple[CircuitState,
         state = nxt
 
 
+def chunk_columns(n: int, cell_bytes: int, total: int) -> int:
+    """Instantiations per chunk for ``n`` nodes at ``cell_bytes`` per cell.
+
+    The largest power of two whose cell matrix fits
+    :data:`CHUNK_BUDGET_BYTES`, capped at ``total``. Raises
+    :class:`TooLargeError` when not even one column fits.
+    """
+    fit = CHUNK_BUDGET_BYTES // (n * cell_bytes)
+    if fit < 1:
+        raise TooLargeError(
+            f"one instantiation of {n} nodes exceeds the "
+            f"{CHUNK_BUDGET_BYTES}-byte chunk budget"
+        )
+    return min(total, 1 << (fit.bit_length() - 1))
+
+
+def _tick_dtype(n: int) -> np.dtype:
+    """Narrowest signed integer dtype that holds the never-tick n + 1."""
+    return next(
+        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > n
+    )
+
+
+def _prime_levels(n: int, dtype) -> tuple:
+    """Cell values of a primed input that is on and off, in ``dtype``'s mode."""
+    return (True, False) if np.dtype(dtype) == bool else (0, n + 1)
+
+
 def _fractional_inputs(c: _Compiled) -> list[int]:
     return [i for i, p in enumerate(c.probs) if 0.0 < p < 1.0]
 
 
-def _simulate(c: _Compiled, prime_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized synchronous iteration over many instantiations at once.
+def _evaluate(c: _Compiled, cells: np.ndarray) -> np.ndarray:
+    """Run the condensation-order pass over ``cells`` in place and return it.
 
-    ``prime_bits`` is a boolean (nodes x instantiations) matrix. Returns
-    the steady-state values and per-node first-hit times (-1 where a node
-    never turns on).
+    On entry each row holds its node's primed input: True/False in
+    reachability mode, 0/n + 1 in tick mode. On exit each row holds the
+    node's final value or first-hit tick (see the module docstring).
     """
-    n, m = prime_bits.shape
-    values = np.zeros((n, m), dtype=bool)
-    first_hit = np.full((n, m), -1, dtype=np.int32)
-    for k in range(1, n + 2):
-        new_values = np.empty_like(values)
-        for i in range(n):
-            ps = c.parents[i]
-            if c.kinds[i] == _OR:
-                fed = np.zeros(m, dtype=bool)
-                for p in ps:
-                    fed |= values[p]
-            else:
-                fed = np.ones(m, dtype=bool)
-                for p in ps:
-                    fed &= values[p]
-            new_values[i] = fed & prime_bits[i]
-        if (new_values == values).all():
-            return values, first_hit
-        np.putmask(first_hit, new_values & (first_hit < 0), k)
-        values = new_values
-    raise RuntimeError("synchronous iteration failed to stabilize")
+    n, m = cells.shape
+    _, off = _prime_levels(n, cells.dtype)
+    ticks = cells.dtype != bool
+    if ticks:
+        conj, disj = np.maximum, np.minimum
+    else:
+        conj, disj = np.logical_and, np.logical_or
+    fed = np.empty(m, dtype=cells.dtype)
+
+    def gate(i: int, prime: np.ndarray, out: np.ndarray) -> None:
+        ps = c.parents[i]
+        if c.kinds[i] == _OR:
+            if not ps:
+                out.fill(off)
+                return
+            np.copyto(fed, cells[ps[0]])
+            for p in ps[1:]:
+                disj(fed, cells[p], out=fed)
+            conj(prime, fed, out=out)
+        else:
+            if out is not prime:
+                np.copyto(out, prime)
+            for p in ps:
+                conj(out, cells[p], out=out)
+        if ticks:
+            # a node that fires does so by tick n, so the cap only keeps
+            # never at n + 1, inside the dtype
+            np.minimum(out, n, out=out)
+            out += 1
+
+    new = np.empty(m, dtype=cells.dtype)
+    for members, cyclic in c.blocks:
+        if not cyclic:
+            gate(members[0], cells[members[0]], cells[members[0]])
+            continue
+        primes = cells[list(members)]
+        cells[list(members)] = off
+        changed = True
+        while changed:
+            changed = False
+            for prime, i in zip(primes, members):
+                gate(i, prime, new)
+                if not np.array_equal(new, cells[i]):
+                    cells[i] = new
+                    changed = True
+    return cells
+
+
+def _chunks(c: _Compiled, dtype, total: int):
+    """Enumeration indices 0..total-1 in budget-sized consecutive chunks."""
+    width = chunk_columns(len(c.ids), np.dtype(dtype).itemsize, total)
+    for start in range(0, total, width):
+        yield np.arange(start, min(total, start + width), dtype=np.int64)
 
 
 def _enumeration_weights(c: _Compiled, fractional: list[int], idx: np.ndarray) -> np.ndarray:
@@ -158,36 +242,25 @@ def _enumeration_weights(c: _Compiled, fractional: list[int], idx: np.ndarray) -
     return weights
 
 
-def _prime_matrix(c: _Compiled, fractional: list[int], idx: np.ndarray) -> np.ndarray:
-    """Primed-input matrix for enumeration indices, with constant inputs folded."""
-    n, m = len(c.kinds), len(idx)
-    bits = np.empty((n, m), dtype=bool)
+def _input_cells(c: _Compiled, fractional: list[int], idx: np.ndarray, dtype) -> np.ndarray:
+    """Cell matrix holding the primed inputs of enumeration indices ``idx``
+    in the encoding of ``dtype``'s mode, with constant inputs folded."""
+    on, off = _prime_levels(len(c.ids), dtype)
+    cells = np.empty((len(c.ids), len(idx)), dtype=dtype)
     for i, p in enumerate(c.probs):
-        bits[i] = p >= 1.0
+        cells[i] = on if p >= 1.0 else off
     for j, i in enumerate(fractional):
-        bits[i] = ((idx >> j) & 1).astype(bool)
-    return bits
+        cells[i] = np.where((idx >> j) & 1, on, off)
+    return cells
 
 
-def _exact_hit_weights(graph: AttackGraph) -> tuple[_Compiled, dict[int, float], int]:
-    """Exact reach probability of every node by weighted enumeration."""
-    c = _compile(graph)
-    fractional = _fractional_inputs(c)
-    if len(fractional) > EXACT_ENUM_LIMIT:
+def _check_enumerable(fractional: list[int], limit: int, what: str) -> int:
+    """Number of instantiations to enumerate; TooLargeError past ``limit`` bits."""
+    if len(fractional) > limit:
         raise TooLargeError(
-            f"{len(fractional)} fractional inputs exceed the "
-            f"{EXACT_ENUM_LIMIT}-bit enumeration limit"
+            f"{len(fractional)} fractional inputs exceed the {limit}-bit {what} limit"
         )
-    total = 1 << len(fractional)
-    sums: list[list[float]] = [[] for _ in c.ids]
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        idx = np.arange(start, min(total, start + (1 << _CHUNK_BITS)), dtype=np.int64)
-        weights = _enumeration_weights(c, fractional, idx)
-        finals, _ = _simulate(c, _prime_matrix(c, fractional, idx))
-        for i in range(len(c.ids)):
-            sums[i].append(math.fsum(weights[finals[i]].tolist()))
-    probs = {v: min(1.0, math.fsum(sums[i])) for i, v in enumerate(c.ids)}
-    return c, probs, total
+    return 1 << len(fractional)
 
 
 def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
@@ -199,31 +272,50 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     """
     if v not in graph.node_map:
         raise UnknownNodeError(f"node {v} is not in the graph")
-    _, probs, total = _exact_hit_weights(graph)
-    return ReachEstimate(probs[v], "exact", total, 0.0)
+    c = _compile(graph)
+    fractional = _fractional_inputs(c)
+    total = _check_enumerable(fractional, EXACT_ENUM_LIMIT, "enumeration")
+    row = c.index[v]
+    sums = []
+    for idx in _chunks(c, bool, total):
+        weights = _enumeration_weights(c, fractional, idx)
+        finals = _evaluate(c, _input_cells(c, fractional, idx, bool))
+        sums.append(math.fsum(weights[finals[row]].tolist()))
+    return ReachEstimate(min(1.0, math.fsum(sums)), "exact", total, 0.0)
 
 
 def reachability_mc(
     graph: AttackGraph, v: int, samples: int, seed: int
 ) -> ReachEstimate:
-    """Monte Carlo estimate of the reach probability with binomial error."""
+    """Monte Carlo estimate of the reach probability with binomial error.
+
+    Samples are drawn in budget-sized chunks, node by node within a chunk;
+    at most :data:`MC_SAMPLE_LIMIT` are taken.
+    """
     if v not in graph.node_map:
         raise UnknownNodeError(f"node {v} is not in the graph")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MC_SAMPLE_LIMIT:
+        raise TooLargeError(
+            f"{samples} samples exceed the {MC_SAMPLE_LIMIT}-sample limit"
+        )
     c = _compile(graph)
     n = len(c.ids)
     rng = np.random.default_rng(seed)
-    bits = np.empty((n, samples), dtype=bool)
-    for i, p in enumerate(c.probs):
-        if p <= 0.0:
-            bits[i] = False
-        elif p >= 1.0:
-            bits[i] = True
-        else:
-            bits[i] = rng.random(samples) < p
-    finals, _ = _simulate(c, bits)
-    hits = int(finals[c.index[v]].sum())
+    width = chunk_columns(n, 1, samples)
+    hits = 0
+    for start in range(0, samples, width):
+        m = min(width, samples - start)
+        bits = np.empty((n, m), dtype=bool)
+        for i, p in enumerate(c.probs):
+            if p <= 0.0:
+                bits[i] = False
+            elif p >= 1.0:
+                bits[i] = True
+            else:
+                bits[i] = rng.random(m) < p
+        hits += int(_evaluate(c, bits)[c.index[v]].sum())
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

@@ -13,7 +13,10 @@ which it was already on.
 Classification enumerates instantiations exhaustively (the definitions
 quantify over all of them; sampling could not certify the universal
 cases), so it is limited to graphs with at most ``CLASSIFY_ENUM_LIMIT``
-fractional inputs.
+fractional inputs. :func:`classify_cycles` runs that enumeration once,
+in the circuit engine's tick mode, and reads every cycle's type and
+witness off the same first-hit ticks; :func:`classify_cycle` and
+:func:`classify_all` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -26,14 +29,17 @@ import numpy as np
 from .circuit import (
     AugmentedGraph,
     Instantiation,
-    _CHUNK_BITS,
+    _check_enumerable,
+    _chunks,
+    _evaluate,
     _fractional_inputs,
-    _prime_matrix,
-    _simulate,
+    _input_cells,
+    _prime_levels,
+    _tick_dtype,
 )
-from .errors import TargetRequiredError, TooLargeError, UnknownNodeError
+from .errors import TargetRequiredError, UnknownNodeError
 from .graph import AttackGraph, CyclePath, find_cycles
-from .propagate import _compile
+from .propagate import _Compiled, _compile
 
 CLASSIFY_ENUM_LIMIT = 20
 
@@ -54,10 +60,19 @@ class FirstHit:
 
 @dataclass(frozen=True)
 class CycleReport:
+    """``cycle_type`` is None only from :func:`classify_cycles` without a
+    target, for a cycle that can fire."""
+
     cycle: CyclePath
-    cycle_type: CycleType
+    cycle_type: CycleType | None
     target: int | None = None
     witness: tuple[Instantiation, int, int] | None = None
+
+
+def _ticks(c: _Compiled, primes: np.ndarray) -> np.ndarray:
+    """First-hit ticks for explicit primed-input columns (bool, nodes x m)."""
+    dtype = _tick_dtype(len(c.ids))
+    return _evaluate(c, np.where(primes, *_prime_levels(len(c.ids), dtype)).astype(dtype))
 
 
 def first_hit(aug: AugmentedGraph, inst: Instantiation) -> list[FirstHit]:
@@ -65,10 +80,10 @@ def first_hit(aug: AugmentedGraph, inst: Instantiation) -> list[FirstHit]:
     c = _compile(aug.base)
     if set(inst.bits) != set(c.ids):
         raise ValueError("instantiation domain does not match the augmented graph")
-    bits = np.array([[bool(inst.bits[v])] for v in c.ids])
-    _, hits = _simulate(c, bits)
+    hits = _ticks(c, np.array([[bool(inst.bits[v])] for v in c.ids]))
+    never = len(c.ids) + 1
     return [
-        FirstHit(v, int(hits[i, 0]) if hits[i, 0] >= 0 else None)
+        FirstHit(v, int(hits[i, 0]) if hits[i, 0] < never else None)
         for i, v in enumerate(c.ids)
     ]
 
@@ -82,80 +97,104 @@ def _witness_instantiation(c, fractional: list[int], index: int) -> Instantiatio
     return Instantiation(bits)
 
 
-def classify_cycle(
-    graph: AttackGraph, cycle: CyclePath, target: int | None = None
-) -> CycleReport:
-    """Classify one cycle, relative to ``target`` for the Type 2/3 split.
+def classify_cycles(
+    graph: AttackGraph, cycles: list[CyclePath], target: int | None = None
+) -> list[CycleReport]:
+    """Classify every cycle, relative to ``target`` for the Type 2/3 split.
 
-    Only instantiations in the support of the input distribution are
-    considered: inputs with probability 0 or 1 are pinned. A target is
-    required unless the cycle turns out to be Type 1.
+    One enumeration of the instantiations serves all cycles. Only
+    instantiations in the support of the input distribution are
+    considered: inputs with probability 0 or 1 are pinned. A Type 3
+    witness is the first such instantiation in enumeration order, the
+    smallest cycle node on before the target, and the tick before the
+    target's first hit. Without a target, a cycle that can fire cannot be
+    split into Type 2 or 3 and its report has ``cycle_type`` None.
     """
+    if not cycles:
+        return []
     c = _compile(graph)
-    cycle_ids = sorted(cycle.node_set)
-    for v in cycle_ids:
-        if v not in c.index:
-            raise UnknownNodeError(f"cycle node {v} is not in the graph")
+    cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
+    for ids in cycle_ids:
+        for v in ids:
+            if v not in c.index:
+                raise UnknownNodeError(f"cycle node {v} is not in the graph")
     if target is not None and target not in c.index:
         raise UnknownNodeError(f"target {target} is not in the graph")
 
     fractional = _fractional_inputs(c)
-    if len(fractional) > CLASSIFY_ENUM_LIMIT:
-        raise TooLargeError(
-            f"{len(fractional)} fractional inputs exceed the "
-            f"{CLASSIFY_ENUM_LIMIT}-bit classification limit"
-        )
-    cycle_idx = [c.index[v] for v in cycle_ids]
-    target_idx = c.index[target] if target is not None else None
+    total = _check_enumerable(fractional, CLASSIFY_ENUM_LIMIT, "classification")
+    cycle_rows = [[c.index[v] for v in ids] for ids in cycle_ids]
+    on_cycles = sorted({i for rows in cycle_rows for i in rows})
+    dtype = _tick_dtype(len(c.ids))
+    _, never = _prime_levels(len(c.ids), dtype)
 
-    ever_on = np.zeros(len(cycle_idx), dtype=bool)
-    witness: tuple[Instantiation, int, int] | None = None
-
-    total = 1 << len(fractional)
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        idx = np.arange(start, min(total, start + (1 << _CHUNK_BITS)), dtype=np.int64)
-        _, hits = _simulate(c, _prime_matrix(c, fractional, idx))
-        for pos, i in enumerate(cycle_idx):
-            ever_on[pos] |= bool((hits[i] >= 0).any())
-        if target_idx is not None and witness is None:
-            th = hits[target_idx]
-            reached = th >= 0
-            early = np.zeros(len(idx), dtype=bool)
-            for i in cycle_idx:
-                early |= reached & (hits[i] >= 0) & (hits[i] < th)
+    ever_on = np.zeros(len(c.ids), dtype=bool)
+    witnesses: list[tuple[Instantiation, int, int] | None] = [None] * len(cycles)
+    for idx in _chunks(c, dtype, total):
+        hits = _evaluate(c, _input_cells(c, fractional, idx, dtype))
+        for i in on_cycles:
+            ever_on[i] |= bool(hits[i].min() < never)
+        if target is None:
+            continue
+        th = hits[c.index[target]]
+        reached = th < never
+        first = np.empty(len(idx), dtype=dtype)
+        for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
+            if witnesses[k] is not None:
+                continue
+            np.copyto(first, hits[rows[0]])
+            for i in rows[1:]:
+                np.minimum(first, hits[i], out=first)
+            early = reached & (first < th)
             if early.any():
                 m = int(np.argmax(early))
                 k_target = int(th[m])
-                node_j = min(
-                    v
-                    for v, i in zip(cycle_ids, cycle_idx)
-                    if hits[i, m] >= 0 and hits[i, m] < k_target
-                )
-                witness = (
+                node_j = min(v for v, i in zip(ids, rows) if hits[i, m] < k_target)
+                witnesses[k] = (
                     _witness_instantiation(c, fractional, int(idx[m])),
                     node_j,
                     k_target - 1,
                 )
 
-    if not ever_on.all():
-        return CycleReport(cycle, CycleType.TYPE1, target, None)
-    if target is None:
+    reports = []
+    for cycle, rows, witness in zip(cycles, cycle_rows, witnesses):
+        if not ever_on[rows].all():
+            cycle_type = CycleType.TYPE1
+        elif target is None:
+            cycle_type = None
+        elif witness is None:
+            cycle_type = CycleType.TYPE2
+        else:
+            cycle_type = CycleType.TYPE3
+        reports.append(
+            CycleReport(
+                cycle, cycle_type, target,
+                witness if cycle_type is CycleType.TYPE3 else None,
+            )
+        )
+    return reports
+
+
+def classify_cycle(
+    graph: AttackGraph, cycle: CyclePath, target: int | None = None
+) -> CycleReport:
+    """Classify one cycle; see :func:`classify_cycles`.
+
+    A target is required unless the cycle turns out to be Type 1.
+    """
+    (report,) = classify_cycles(graph, [cycle], target)
+    if report.cycle_type is None:
         raise TargetRequiredError(
             "cycle can fire; classification as Type 2 or 3 needs a target node"
         )
-    if witness is None:
-        return CycleReport(cycle, CycleType.TYPE2, target, None)
-    return CycleReport(cycle, CycleType.TYPE3, target, witness)
+    return report
 
 
 def classify_all(
     graph: AttackGraph, target: int, max_cycles: int = 10_000
 ) -> list[CycleReport]:
     """Find every simple cycle and classify each against the target."""
-    return [
-        classify_cycle(graph, cycle, target)
-        for cycle in find_cycles(graph, max_cycles)
-    ]
+    return classify_cycles(graph, find_cycles(graph, max_cycles), target)
 
 
 def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:
@@ -166,14 +205,8 @@ def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:
     edge-removal schemes would cut.
     """
     c = _compile(graph)
-    bits = np.ones((len(c.ids), 1), dtype=bool)
-    _, hits = _simulate(c, bits)
-
-    def hit_key(v: int) -> tuple[float, int]:
-        h = hits[c.index[v], 0]
-        return (float(h) if h >= 0 else float("inf"), v)
-
-    head = min(cycle.node_set, key=hit_key)
+    hits = _ticks(c, np.ones((len(c.ids), 1), dtype=bool))
+    head = min(cycle.node_set, key=lambda v: (int(hits[c.index[v], 0]), v))
     for src, dst in cycle.edge_list:
         if dst == head:
             return (src, dst)

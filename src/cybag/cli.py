@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
@@ -135,21 +142,16 @@ def _cmd_cycles(args) -> int:
     graph = _load_graph(args.infile)
     found = find_cycles(graph, args.max)
     rows = []
-    for cyc in found:
-        entry = {"cycle": ",".join(str(v) for v in cyc.nodes)}
-        if args.target is not None:
-            report = classify.classify_cycle(graph, cyc, args.target)
-            entry["type"] = report.cycle_type.name.lower()
-            if report.witness is not None:
-                _, node_j, k = report.witness
-                entry["witness_node"] = str(node_j)
-                entry["witness_k"] = str(k)
-        else:
-            try:
-                report = classify.classify_cycle(graph, cyc, None)
-                entry["type"] = report.cycle_type.name.lower()
-            except CybagError:
-                entry["type"] = "needs-target"
+    for report in classify.classify_cycles(graph, found, args.target):
+        kind = report.cycle_type
+        entry = {
+            "cycle": ",".join(str(v) for v in report.cycle.nodes),
+            "type": kind.name.lower() if kind is not None else "needs-target",
+        }
+        if report.witness is not None:
+            _, node_j, k = report.witness
+            entry["witness_node"] = str(node_j)
+            entry["witness_k"] = str(k)
         rows.append(entry)
     if args.format == "json":
         sys.stdout.write(json.dumps({"cycles": rows}, indent=2) + "\n")
@@ -247,7 +249,7 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--node", type=int, required=node_required, help="node id to query"
         )
-        p.add_argument("--precision", type=int, default=6)
+        p.add_argument("--precision", type=_non_negative, default=6)
         if with_format:
             p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
@@ -263,8 +265,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("circuit", help="circuit reachability, exact or Monte Carlo")
     common(p, node_required=True)
-    p.add_argument("--mc", type=int, default=0, help="sample count; 0 means exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--mc", type=_non_negative, default=0, help="sample count; 0 means exact"
+    )
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=_cmd_circuit)
 
     p = sub.add_parser("compare", help="all three engines side by side")

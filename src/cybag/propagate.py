@@ -32,6 +32,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import networkx as nx
+
 from .errors import GraphCyclicError, UnknownNodeError
 from .graph import AttackGraph, NodeKind, topological_order
 
@@ -64,7 +66,7 @@ def disjunction(probs: Iterable[float]) -> float:
 class _Compiled:
     """Dense-index view of a graph for the inner solver loop."""
 
-    __slots__ = ("ids", "index", "kinds", "probs", "parents")
+    __slots__ = ("ids", "index", "kinds", "probs", "parents", "_blocks")
 
     def __init__(self, graph: AttackGraph):
         self.ids = list(graph.node_ids)
@@ -75,6 +77,25 @@ class _Compiled:
         self.parents = [
             tuple(self.index[p] for p in graph.parents[v]) for v in self.ids
         ]
+        self._blocks = None
+
+    @property
+    def blocks(self) -> list[tuple[tuple[int, ...], bool]]:
+        """Strongly connected components in topological order of the
+        condensation, as (ascending member indices, cyclic). A component is
+        cyclic when it has two or more members or a self-edge. Computed on
+        first use, so the recursive solver never pays for it."""
+        if self._blocks is None:
+            g = nx.DiGraph()
+            g.add_nodes_from(range(len(self.ids)))
+            g.add_edges_from((p, i) for i, ps in enumerate(self.parents) for p in ps)
+            cond = nx.condensation(g)
+            self._blocks = []
+            for k in nx.topological_sort(cond):
+                members = tuple(sorted(cond.nodes[k]["members"]))
+                cyclic = len(members) > 1 or members[0] in self.parents[members[0]]
+                self._blocks.append((members, cyclic))
+        return self._blocks
 
 
 def _compile(graph: AttackGraph) -> _Compiled:

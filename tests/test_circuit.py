@@ -1,10 +1,20 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import attack_graphs
+
+from cybag import circuit
 from cybag.bayes import eliminate, to_bayes_net
 from cybag.circuit import (
+    CHUNK_BUDGET_BYTES,
     CircuitState,
     Instantiation,
+    _evaluate,
+    _tick_dtype,
     augment,
+    chunk_columns,
     fixed_point,
     reachability_exact,
     reachability_mc,
@@ -14,7 +24,7 @@ from cybag.errors import TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import AttackGraph, Node, NodeKind, is_loop_free
-from cybag.propagate import solve_node
+from cybag.propagate import _compile, solve_node
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
 
@@ -205,3 +215,113 @@ def test_exact_well_defined_on_cyclic_fixtures():
         for v in g.node_ids:
             p = reachability_exact(g, v).probability
             assert 0.0 <= p <= 1.0
+
+
+def reference_run(aug, inst):
+    """Fixed-point values and first-hit ticks of the synchronous trajectory."""
+    state = CircuitState({v: 0 for v in aug.base.node_ids}, 0)
+    hits = {v: None for v in aug.base.node_ids}
+    while True:
+        nxt = step(aug, state, inst)
+        if nxt.values == state.values:
+            return dict(state.values), hits
+        for v, on in nxt.values.items():
+            if on and hits[v] is None:
+                hits[v] = nxt.iteration
+        state = nxt
+
+
+def assert_engine_matches_reference(g):
+    """Every instantiation of every primed input, all in one engine call per mode."""
+    c = _compile(g)
+    n = len(c.ids)
+    cols = np.arange(1 << n)
+    primes = np.array([(cols >> j) & 1 for j in range(n)], dtype=bool)
+    values = _evaluate(c, primes.copy())
+    ticks = _evaluate(c, np.where(primes, 0, n + 1).astype(_tick_dtype(n)))
+    aug = augment(g)
+    for k in cols:
+        inst = Instantiation({v: int(primes[i, k]) for i, v in enumerate(c.ids)})
+        ref_values, ref_hits = reference_run(aug, inst)
+        assert ref_values == dict(fixed_point(aug, inst)[0].values)
+        assert {v: int(values[i, k]) for i, v in enumerate(c.ids)} == ref_values
+        got_hits = {
+            v: int(ticks[i, k]) if ticks[i, k] <= n else None for i, v in enumerate(c.ids)
+        }
+        assert got_hits == ref_hits, (g, inst)
+
+
+@given(attack_graphs(max_nodes=7), st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_step_semantics(g, data):
+    gates = [v for v in g.node_ids if g.kind(v) is not L]
+    loops = data.draw(st.lists(st.sampled_from(gates), unique=True)) if gates else []
+    assert_engine_matches_reference(AttackGraph(g.nodes, g.edges + tuple((v, v) for v in loops)))
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        ([Node(0, L, "", 0.5), Node(1, O, "", 0.5)], []),  # Or without parents
+        ([Node(0, A, "", 0.5), Node(1, O, "", 0.5)], [(0, 1)]),  # And without parents
+        (  # all-And cycle that never fires
+            [Node(0, L, "", 0.5), Node(1, A, "", 0.5), Node(2, A, "", 0.5), Node(3, A, "", 0.5)],
+            [(0, 1), (1, 2), (2, 3), (3, 1)],
+        ),
+        (  # self-edges, built without validate
+            [Node(0, L, "", 0.5), Node(1, O, "", 0.5), Node(2, A, "", 0.5)],
+            [(0, 1), (1, 1), (1, 2), (2, 2)],
+        ),
+        (  # long Or chain closed into one cycle, fed at one end
+            [Node(0, L, "", 0.5)] + [Node(v, O, "", 0.5) for v in range(1, 7)],
+            [(0, 1)] + [(v, v + 1) for v in range(1, 6)] + [(6, 1)],
+        ),
+    ],
+)
+def test_engine_edge_cases(nodes, edges):
+    assert_engine_matches_reference(AttackGraph(nodes, edges))
+
+
+def test_tick_dtype_is_narrowest_holding_never():
+    assert _tick_dtype(36) == np.int8
+    assert _tick_dtype(126) == np.int8
+    assert _tick_dtype(127) == np.int16
+    assert _tick_dtype(40_000) == np.int32
+
+
+def test_chunk_plan():
+    # small graphs keep every instantiation of the benchmark size in one chunk
+    assert chunk_columns(36, 1, 1 << 18) == 1 << 18
+    assert chunk_columns(36, 1, 1 << 24) == 1 << 20
+    # 900 nodes with 20 fractional inputs: the cell matrix stays in budget
+    width = chunk_columns(900, 1, 1 << 20)
+    assert width == 1 << 16
+    assert 900 * width <= CHUNK_BUDGET_BYTES < 900 * 2 * width
+    assert chunk_columns(900, 2, 1 << 20) == 1 << 15
+    assert chunk_columns(CHUNK_BUDGET_BYTES, 1, 1 << 20) == 1
+
+
+def test_chunk_plan_refuses_a_column_over_budget():
+    with pytest.raises(TooLargeError):
+        chunk_columns(CHUNK_BUDGET_BYTES + 1, 1, 2)
+    with pytest.raises(TooLargeError):
+        chunk_columns(CHUNK_BUDGET_BYTES // 8 + 1, 8, 1)
+
+
+def test_chunked_enumeration_and_sampling_agree(monkeypatch):
+    g = load_fixture("running-example.json")
+    exact = {v: reachability_exact(g, v).probability for v in g.node_ids}
+    mc = reachability_mc(g, 14, 3000, 5)
+    # 25 nodes at 8 columns a chunk: several chunks for both engines
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 25 * 8)
+    for v in g.node_ids:
+        assert reachability_exact(g, v).probability == pytest.approx(exact[v], abs=1e-12)
+    chunked = reachability_mc(g, 14, 3000, 5)
+    assert chunked == reachability_mc(g, 14, 3000, 5)
+    assert abs(chunked.probability - mc.probability) <= 4 * (mc.std_error + chunked.std_error)
+
+
+def test_reachability_mc_sample_limit():
+    g = AttackGraph([Node(0, L, "", 0.5)], [])
+    with pytest.raises(TooLargeError):
+        reachability_mc(g, 0, circuit.MC_SAMPLE_LIMIT + 1, 0)

@@ -1,10 +1,12 @@
 import pytest
 
+from cybag import circuit, classify
 from cybag.circuit import Instantiation, augment, reachability_exact
 from cybag.classify import (
     CycleType,
     classify_all,
     classify_cycle,
+    classify_cycles,
     closing_edge,
     first_hit,
 )
@@ -139,3 +141,59 @@ def test_removing_type3_closing_edge_changes_reachability():
     before = reachability_exact(g, 3).probability
     after = reachability_exact(g.without_edge(*edge), 3).probability
     assert abs(after - before) > 1e-6
+
+
+def three_cycles():
+    """Or nodes 4, 5, 6 on three simple cycles, fed by fractional leaves."""
+    leaves = [Node(v, NodeKind.LEAF, "", 0.3 + 0.1 * v) for v in range(4)]
+    ors = [Node(v, NodeKind.OR, "", 0.9) for v in (4, 5, 6)]
+    edges = [(0, 4), (1, 5), (2, 6), (3, 6), (4, 5), (5, 4), (5, 6), (6, 5), (6, 4)]
+    return AttackGraph(leaves + ors, edges)
+
+
+def count_engine_calls(monkeypatch):
+    calls = []
+    engine = classify._evaluate
+
+    def counted(c, cells):
+        calls.append(cells.shape[1])
+        return engine(c, cells)
+
+    monkeypatch.setattr(classify, "_evaluate", counted)
+    return calls
+
+
+def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch):
+    calls = count_engine_calls(monkeypatch)
+    classify_all(load_fixture("running-example.json"), target=14)
+    assert len(calls) == 1
+    g = three_cycles()
+    assert len(find_cycles(g)) == 3
+    calls.clear()
+    classify_all(g, target=6)
+    assert calls == [128]
+    # 7 nodes with int8 ticks, 16 columns a chunk: 8 chunks for 3 cycles
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 7 * 16)
+    calls.clear()
+    classify_all(g, target=6)
+    assert calls == [16] * 8
+
+
+@pytest.mark.parametrize("target", [4, 5, 6])
+def test_batched_classification_matches_one_cycle_at_a_time(monkeypatch, target):
+    g = three_cycles()
+    cycles = find_cycles(g)
+    batched = classify_cycles(g, cycles, target)
+    assert batched == [classify_cycle(g, cyc, target) for cyc in cycles]
+    assert any(r.cycle_type is CycleType.TYPE3 for r in batched)
+    # witnesses stay the first in enumeration order when chunks are small
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 7 * 2)
+    assert classify_cycles(g, cycles, target) == batched
+
+
+def test_classify_cycles_without_target():
+    g1, g2 = load_fixture("type1.json"), load_fixture("type2.json")
+    (r1,) = classify_cycles(g1, find_cycles(g1))
+    assert r1.cycle_type is CycleType.TYPE1
+    (r2,) = classify_cycles(g2, find_cycles(g2))
+    assert r2.cycle_type is None and r2.witness is None

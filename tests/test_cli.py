@@ -240,3 +240,46 @@ def test_limit_exit_code(tmp_path, capsys):
     dense.write_text(json.dumps(doc))
     assert run(["cycles", "--in", str(dense), "--max", "10"]) == 3
     assert "CYCLE_LIMIT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["circuit", "--in", DIAMOND, "--node", "3", "--mc", "-5"],
+        ["circuit", "--in", DIAMOND, "--node", "3", "--mc", "10", "--seed", "-1"],
+        ["solve", "--in", FIG5, "--precision", "-1"],
+        ["compare", "--in", DIAMOND, "--node", "3", "--precision", "-2"],
+    ],
+)
+def test_negative_counts_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_huge_sample_count_hits_the_limit_up_front(capsys):
+    argv = ["circuit", "--in", DIAMOND, "--node", "3", "--mc", "100000000000000"]
+    assert run(argv) == 3
+    assert "TOO_LARGE" in capsys.readouterr().err
+
+
+def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
+    from cybag import classify
+
+    calls = []
+    engine = classify._evaluate
+    monkeypatch.setattr(
+        classify, "_evaluate", lambda c, cells: calls.append(1) or engine(c, cells)
+    )
+    doc = {
+        "version": "1",
+        "nodes": [{"id": v, "kind": "leaf", "label": "", "p": "0.5"} for v in range(3)]
+        + [{"id": v, "kind": "or", "label": "", "p": "0.9"} for v in (3, 4, 5)],
+        "edges": [[0, 3], [1, 4], [2, 5], [3, 4], [4, 3], [4, 5], [5, 4], [5, 3]],
+    }
+    path = tmp_path / "three-cycles.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cycles", "--in", str(path), "--target", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert run(["cycles", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.count("needs-target") == 3
+    assert len(calls) == 2
