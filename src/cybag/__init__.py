@@ -77,7 +77,6 @@ from .graph import (
     validate,
 )
 from .propagate import (
-    VisitState,
     conjunction,
     disjunction,
     solve_acyclic_closed_form,

@@ -46,9 +46,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import TooLargeError, UnknownNodeError
+from .errors import TooLargeError
 from .graph import AttackGraph, NodeKind
-from .propagate import _OR, _Compiled, _compile
+from .propagate import _OR, _Compiled, _lookup
 
 EXACT_ENUM_LIMIT = 24
 MC_SAMPLE_LIMIT = 1 << 32
@@ -66,7 +66,6 @@ class AugmentedGraph:
     """
 
     base: AttackGraph
-    primed: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class ReachEstimate:
 
 
 def augment(graph: AttackGraph) -> AugmentedGraph:
-    return AugmentedGraph(graph, {v: v for v in graph.node_ids})
+    return AugmentedGraph(graph)
 
 
 def _check_domain(aug: AugmentedGraph, mapping: Mapping[int, int], what: str) -> None:
@@ -270,12 +269,9 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     with probability 0 or 1 are folded to constants. Well-defined on
     cyclic graphs.
     """
-    if v not in graph.node_map:
-        raise UnknownNodeError(f"node {v} is not in the graph")
-    c = _compile(graph)
+    c, row = _lookup(graph, v)
     fractional = _fractional_inputs(c)
     total = _check_enumerable(fractional, EXACT_ENUM_LIMIT, "enumeration")
-    row = c.index[v]
     sums = []
     for idx in _chunks(c, bool, total):
         weights = _enumeration_weights(c, fractional, idx)
@@ -292,15 +288,13 @@ def reachability_mc(
     Samples are drawn in budget-sized chunks, node by node within a chunk;
     at most :data:`MC_SAMPLE_LIMIT` are taken.
     """
-    if v not in graph.node_map:
-        raise UnknownNodeError(f"node {v} is not in the graph")
+    c, row = _lookup(graph, v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MC_SAMPLE_LIMIT:
         raise TooLargeError(
             f"{samples} samples exceed the {MC_SAMPLE_LIMIT}-sample limit"
         )
-    c = _compile(graph)
     n = len(c.ids)
     rng = np.random.default_rng(seed)
     width = chunk_columns(n, 1, samples)
@@ -315,7 +309,7 @@ def reachability_mc(
                 bits[i] = True
             else:
                 bits[i] = rng.random(m) < p
-        hits += int(_evaluate(c, bits)[c.index[v]].sum())
+        hits += int(_evaluate(c, bits)[row].sum())
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

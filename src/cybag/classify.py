@@ -29,6 +29,7 @@ import numpy as np
 from .circuit import (
     AugmentedGraph,
     Instantiation,
+    _check_domain,
     _check_enumerable,
     _chunks,
     _evaluate,
@@ -77,9 +78,8 @@ def _ticks(c: _Compiled, primes: np.ndarray) -> np.ndarray:
 
 def first_hit(aug: AugmentedGraph, inst: Instantiation) -> list[FirstHit]:
     """First-hit time of every node under one instantiation."""
+    _check_domain(aug, inst.bits, "instantiation")
     c = _compile(aug.base)
-    if set(inst.bits) != set(c.ids):
-        raise ValueError("instantiation domain does not match the augmented graph")
     hits = _ticks(c, np.array([[bool(inst.bits[v])] for v in c.ids]))
     never = len(c.ids) + 1
     return [

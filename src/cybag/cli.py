@@ -69,7 +69,7 @@ def _cmd_solve(args) -> int:
     if args.node is not None:
         values = {args.node: propagate.solve_node(graph, args.node)}
     else:
-        values = propagate.solve_all(graph, threads=args.threads)
+        values = propagate.solve_all(graph)
     if args.format == "json":
         payload = [
             {"node": v, "probability": _fmt(p, args.precision)}
@@ -175,17 +175,19 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
         ratio = tuple(float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"ratio must be numeric, got {text!r}") from None
-    if abs(sum(ratio) - 100.0) > 1e-9:
-        raise _UsageError(f"ratio must sum to 100, got {text!r}")
     return ratio  # type: ignore[return-value]
 
 
+def _gen_params(**kwargs) -> generator.GenParams:
+    """Generator parameters, validated by :class:`generator.GenParams`."""
+    try:
+        return generator.GenParams(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _cmd_generate(args) -> int:
-    if args.n < 3:
-        raise _UsageError("--n must be at least 3")
-    if not 0 <= args.cyclicity <= 100:
-        raise _UsageError("--cyclicity must be between 0 and 100")
-    params = generator.GenParams(
+    params = _gen_params(
         n=args.n,
         cyclicity=args.cyclicity,
         ratio=_parse_ratio(args.ratio),
@@ -210,11 +212,12 @@ def _cmd_bench(args) -> int:
     cyclicities = _parse_int_list(args.cyclicities, "--cyclicities")
     if not sizes or not cyclicities:
         raise _UsageError("--sizes and --cyclicities must be non-empty")
-    if any(c < 0 or c > 100 for c in cyclicities):
-        raise _UsageError("--cyclicities entries must be between 0 and 100")
+    for n in sizes:
+        for c in cyclicities:
+            _gen_params(n=n, cyclicity=c)
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
-    rows = generator.bench(sizes, cyclicities, args.reps, args.seed, threads=args.threads)
+    rows = generator.bench(sizes, cyclicities, args.reps, args.seed)
     generator.write_bench_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -256,7 +259,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="recursive propagation over all or one node")
     common(p)
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("ve", help="variable-elimination marginal (acyclic only)")
@@ -278,7 +280,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cycles", help="find and classify simple cycles")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--max", type=int, default=10_000)
+    p.add_argument("--max", type=_non_negative, default=10_000)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=_cmd_cycles)
 
@@ -296,7 +298,6 @@ def build_parser() -> _Parser:
     p.add_argument("--cyclicities", required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_bench)
 

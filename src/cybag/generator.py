@@ -42,6 +42,8 @@ class GenParams:
             raise ValueError(f"need at least 3 nodes, got {self.n}")
         if not 0.0 <= self.cyclicity <= 100.0:
             raise ValueError(f"cyclicity must be in [0, 100], got {self.cyclicity}")
+        if not all(0.0 <= r <= 100.0 for r in self.ratio):
+            raise ValueError(f"ratio entries must be in [0, 100], got {self.ratio}")
         if abs(sum(self.ratio) - 100.0) > 1e-9:
             raise ValueError(f"ratio must sum to 100, got {self.ratio}")
         if self.max_parents < 1:
@@ -68,13 +70,18 @@ def _counts(n: int, ratio: tuple[float, float, float]) -> tuple[int, int, int]:
     return base[0], base[1], base[2]
 
 
-def nodes_on_cycles(graph: AttackGraph) -> set[int]:
-    """Ids of all nodes inside a strongly connected component of size >= 2."""
+def _on_cycles(edges: Iterable[tuple[int, int]]) -> set[int]:
+    """Nodes inside a strongly connected component of size >= 2."""
     on_cycle: set[int] = set()
-    for comp in nx.strongly_connected_components(graph.to_networkx()):
+    for comp in nx.strongly_connected_components(nx.DiGraph(list(edges))):
         if len(comp) >= 2:
             on_cycle.update(comp)
     return on_cycle
+
+
+def nodes_on_cycles(graph: AttackGraph) -> set[int]:
+    """Ids of all nodes inside a strongly connected component of size >= 2."""
+    return _on_cycles(graph.edges)
 
 
 def cyclic_or_fraction(graph: AttackGraph) -> float:
@@ -130,14 +137,7 @@ class _Builder:
         return sorted(found)
 
     def covered_ors(self, ors: Sequence[int]) -> set[int]:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.parents.keys() | self.children.keys())
-        g.add_edges_from(self.edges)
-        on_cycle: set[int] = set()
-        for comp in nx.strongly_connected_components(g):
-            if len(comp) >= 2:
-                on_cycle.update(comp)
-        return {v for v in ors if v in on_cycle}
+        return _on_cycles(self.edges).intersection(ors)
 
 
 def generate(params: GenParams) -> AttackGraph:
@@ -258,7 +258,6 @@ def bench(
     cyclicities: Iterable[float],
     replicates: int,
     seed: int,
-    threads: int = 1,
 ) -> list[BenchRow]:
     """Generate and solve one graph per (size, cyclicity, replicate).
 
@@ -276,7 +275,7 @@ def bench(
                 counter += 1
                 graph = generate(GenParams(n=n, cyclicity=c, seed=gseed))
                 start = time.perf_counter()
-                solve_all(graph, threads=threads)
+                solve_all(graph)
                 elapsed = time.perf_counter() - start
                 rows.append(
                     BenchRow(n, c, r, elapsed, len(nodes_on_cycles(graph)))

@@ -337,32 +337,15 @@ def convert_plain(plain: PlainBag) -> AttackGraph:
     scores of the source then coincide with access probabilities of the
     result.
     """
-    edges = plain.require_edges + plain.imply_edges
     implied = {c for _, c in plain.imply_edges}
-
-    # Kahn over the combined graph; the plain formalism requires acyclicity.
-    all_ids = sorted(plain.exploits | plain.conditions)
-    indeg = {v: 0 for v in all_ids}
-    succ: dict[int, list[int]] = {v: [] for v in all_ids}
-    for src, dst in edges:
-        indeg[dst] += 1
-        succ[src].append(dst)
-    frontier = [v for v in all_ids if indeg[v] == 0]
-    emitted = 0
-    while frontier:
-        v = frontier.pop()
-        emitted += 1
-        for c in succ[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                frontier.append(c)
-    if emitted != len(all_ids):
-        raise PlainCycleError("plain graph is cyclic; conversion requires a DAG")
-
     nodes = []
     for cid in sorted(plain.conditions):
         kind = NodeKind.OR if cid in implied else NodeKind.LEAF
         nodes.append(Node(cid, kind, local_prob=float(plain.score.get(cid, 1.0))))
     for eid in sorted(plain.exploits):
         nodes.append(Node(eid, NodeKind.AND, local_prob=float(plain.score.get(eid, 1.0))))
-    return AttackGraph(nodes, edges)
+    graph = AttackGraph(nodes, plain.require_edges + plain.imply_edges)
+    # the plain formalism requires acyclicity
+    if topological_order(graph) is None:
+        raise PlainCycleError("plain graph is cyclic; conversion requires a DAG")
+    return graph

@@ -21,15 +21,12 @@ graphs; on loop-free graphs it agrees with :func:`solve_node` exactly.
 
 Recursion is realized with an explicit stack, so graphs with tens of
 thousands of nodes cannot overflow the interpreter stack. Everything here
-is pure; :func:`solve_all` may fan out over threads without changing
-results.
+is pure.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import networkx as nx
@@ -39,18 +36,6 @@ from .graph import AttackGraph, NodeKind, topological_order
 
 _LEAF, _AND, _OR = 0, 1, 2
 _KIND_CODE = {NodeKind.LEAF: _LEAF, NodeKind.AND: _AND, NodeKind.OR: _OR}
-
-
-@dataclass
-class VisitState:
-    """Bookkeeping for one rooted computation: the origin plus every node
-    already allowed to contribute."""
-
-    origin: int
-    visited: set[int] = field(default_factory=set)
-
-    def __post_init__(self):
-        self.visited.add(self.origin)
 
 
 def conjunction(probs: Iterable[float]) -> float:
@@ -169,47 +154,37 @@ def _solve_index(c: _Compiled, origin: int, reverse_parents: bool = False):
     return result, visits
 
 
-def solve_node(graph: AttackGraph, v: int) -> float:
-    """Access probability of one node under the visited-set recursion."""
+def _lookup(graph: AttackGraph, v: int) -> tuple[_Compiled, int]:
+    """Compiled view of ``graph`` and the dense index of node ``v``."""
     c = _compile(graph)
     if v not in c.index:
         raise UnknownNodeError(f"node {v} is not in the graph")
-    prob, _ = _solve_index(c, c.index[v])
-    return prob
+    return c, c.index[v]
+
+
+def solve_node(graph: AttackGraph, v: int) -> float:
+    """Access probability of one node under the visited-set recursion."""
+    return solve_node_stats(graph, v)[0]
 
 
 def solve_node_stats(graph: AttackGraph, v: int) -> tuple[float, int]:
     """Like :func:`solve_node` but also reports how many distinct nodes the
     recursion touched (at most one visit per node is guaranteed)."""
-    c = _compile(graph)
-    if v not in c.index:
-        raise UnknownNodeError(f"node {v} is not in the graph")
-    return _solve_index(c, c.index[v])
+    return _solve_index(*_lookup(graph, v))
 
 
 def _solve_node_reversed(graph: AttackGraph, v: int) -> float:
     """Order-sensitivity probe: same recursion with descending parent order."""
-    c = _compile(graph)
-    if v not in c.index:
-        raise UnknownNodeError(f"node {v} is not in the graph")
-    prob, _ = _solve_index(c, c.index[v], reverse_parents=True)
-    return prob
+    return _solve_index(*_lookup(graph, v), reverse_parents=True)[0]
 
 
-def solve_all(graph: AttackGraph, threads: int = 1) -> dict[int, float]:
+def solve_all(graph: AttackGraph) -> dict[int, float]:
     """Access probability for every node.
 
-    Each node is solved independently, so the outer order is immaterial
-    and ``threads > 1`` changes wall time only, never values.
+    Each node is solved independently, so the outer order is immaterial.
     """
     c = _compile(graph)
-    ids = c.ids
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda i: _solve_index(c, i)[0], range(len(ids))))
-    else:
-        values = [_solve_index(c, i)[0] for i in range(len(ids))]
-    return dict(zip(ids, values))
+    return {v: _solve_index(c, i)[0] for i, v in enumerate(c.ids)}
 
 
 def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:

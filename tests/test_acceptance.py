@@ -304,8 +304,8 @@ def test_criterion_12_deterministic_outputs(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
         sa, sb = tmp_path / "sa.tsv", tmp_path / "sb.tsv"
-        assert run(["solve", "--in", str(a), "--threads", "2", "--out", str(sa)]) == 0
-        assert run(["solve", "--in", str(a), "--threads", "2", "--out", str(sb)]) == 0
+        assert run(["solve", "--in", str(a), "--out", str(sa)]) == 0
+        assert run(["solve", "--in", str(a), "--out", str(sb)]) == 0
         assert sa.read_bytes() == sb.read_bytes()
 
         ba, bb = tmp_path / "ba.csv", tmp_path / "bb.csv"

@@ -43,8 +43,7 @@ def zero_state(graph):
 
 def test_augment_structure(fig5):
     aug = augment(fig5)
-    assert set(aug.primed) == {0, 1, 2}
-    assert len(set(aug.primed.values())) == 3
+    assert aug.base is fig5
 
 
 def test_single_leaf_copies_its_input():

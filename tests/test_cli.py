@@ -36,13 +36,6 @@ def test_solve_precision(capsys):
     assert capsys.readouterr().out == "2\t0.336\n"
 
 
-def test_solve_threads_identical_output(capsys):
-    assert run(["solve", "--in", RUNNING, "--threads", "1"]) == 0
-    single = capsys.readouterr().out
-    assert run(["solve", "--in", RUNNING, "--threads", "4"]) == 0
-    assert capsys.readouterr().out == single
-
-
 def test_solve_out_file(tmp_path, capsys):
     out = tmp_path / "probs.tsv"
     assert run(["solve", "--in", FIG5, "--out", str(out)]) == 0
@@ -162,6 +155,32 @@ def test_bench_rejects_garbage_sizes(tmp_path, capsys):
          "--seed", "1", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--n", "10", "--cyclicity", "10", "--max-parents", "0"],
+        ["generate", "--n", "10", "--cyclicity", "101"],
+        ["generate", "--n", "2", "--cyclicity", "0"],
+        ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "nan:50:50"],
+        ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "150:-25:-25"],
+        ["bench", "--sizes", "2", "--cyclicities", "0", "--reps", "1"],
+        ["bench", "--sizes", "40", "--cyclicities", "101", "--reps", "1"],
+    ],
+)
+def test_generator_parameters_are_usage_errors(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+def test_cycles_max_must_be_non_negative(capsys):
+    assert run(["cycles", "--in", TYPE2, "--max", "-1"]) == 1
+    assert "must be >= 0" in capsys.readouterr().err
+    assert run(["cycles", "--in", TYPE2, "--max", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_score_command(tmp_path):

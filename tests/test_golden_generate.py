@@ -1,0 +1,43 @@
+"""Byte-exact generator output on a seeded grid.
+
+``golden_generate.json`` maps ``n/cyclicity/seed`` to the sha256 of the
+``write_json`` bytes of ``generate(GenParams(n, cyclicity, seed=seed))``.
+A change to the generator that alters any graph fails here. To re-record
+after an intended change, run ``PYTHONPATH=src python tests/test_golden_generate.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from cybag.formats import write_json
+from cybag.generator import GenParams, generate
+
+GOLDEN = Path(__file__).with_name("golden_generate.json")
+SIZES = (30, 200, 1000)
+CYCLICITIES = (0, 40, 100)
+SEEDS = (0, 1, 2)
+
+
+def digests(tmp: Path) -> dict[str, str]:
+    out = {}
+    path = tmp / "g.json"
+    for n in SIZES:
+        for c in CYCLICITIES:
+            for seed in SEEDS:
+                write_json(generate(GenParams(n=n, cyclicity=c, seed=seed)), path)
+                out[f"{n}/{c}/{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def test_generated_graphs_match_golden(tmp_path):
+    assert digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = digests(Path(tmp))
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(recorded)} digests to {GOLDEN}")

@@ -7,7 +7,6 @@ from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import AttackGraph, Node, NodeKind
 from cybag.propagate import (
-    VisitState,
     _solve_node_reversed,
     conjunction,
     disjunction,
@@ -139,13 +138,3 @@ def test_parent_order_sensitivity_recorded_not_asserted(capsys):
             ):
                 diverged += 1
     print(f"parent-order divergence: {diverged}/{checked} node solves")
-
-
-def test_threads_do_not_change_results():
-    g = generate(GenParams(n=120, cyclicity=80, seed=3))
-    assert solve_all(g, threads=4) == solve_all(g, threads=1)
-
-
-def test_visit_state_contains_origin():
-    state = VisitState(origin=7)
-    assert 7 in state.visited
