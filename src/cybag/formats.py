@@ -36,7 +36,7 @@ def _parse_prob(raw, path: str) -> float:
         raise SchemaError(f"not a probability: {raw!r}", path) from None
     if not 0.0 <= value <= 1.0:
         raise SchemaError(f"probability {value} outside [0, 1]", path)
-    return value
+    return abs(value)  # "-0" parses to -0.0, which would print as -0.000000
 
 
 def document_to_graph(doc) -> AttackGraph:
@@ -113,17 +113,23 @@ def graph_to_document(graph: AttackGraph, notes: str | None = None) -> dict:
     return doc
 
 
-def read_json(path) -> AttackGraph:
+def _read_document(path):
+    """Parse a JSON file; bytes that are not UTF-8 or not JSON are schema errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc.reason}", "$") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno})", "$") from exc
-    return document_to_graph(doc)
+
+
+def read_json(path) -> AttackGraph:
+    return document_to_graph(_read_document(path))
 
 
 def write_json(graph: AttackGraph, path, notes: str | None = None) -> None:
@@ -183,14 +189,7 @@ def plain_document_to_bag(doc) -> PlainBag:
 
 
 def read_plain_json(path) -> PlainBag:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno})", "$") from exc
-    return plain_document_to_bag(doc)
+    return plain_document_to_bag(_read_document(path))
 
 
 _MULVAL_KINDS = {"LEAF": NodeKind.LEAF, "AND": NodeKind.AND, "OR": NodeKind.OR}
@@ -230,9 +229,11 @@ def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
                 if nid in ids:
                     raise ParseError(f"duplicate node id {nid}", lineno)
                 ids.add(nid)
-                nodes.append(Node(nid, kind, label, prob))
+                nodes.append(Node(nid, kind, label, abs(prob)))  # "-0" -> 0.0
     except OSError as exc:
         raise IoError(f"cannot read {vertices_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{vertices_path} is not UTF-8 text: {exc.reason}") from exc
 
     edges: list[tuple[int, int]] = []
     try:
@@ -251,6 +252,8 @@ def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
                 edges.append((src, dst))
     except OSError as exc:
         raise IoError(f"cannot read {arcs_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{arcs_path} is not UTF-8 text: {exc.reason}") from exc
     return AttackGraph(nodes, edges)
 
 

@@ -6,7 +6,10 @@ fact, Or nodes are attacker states fed by one or more actions. The base
 wiring is acyclic by ranking the Or nodes and only letting actions read
 from lower-ranked states. Cycles are then added on purpose: a bridge And
 node is inserted from a descendant state back to an ancestor state until
-the requested share of Or nodes sits on a directed cycle. Node counts
+the requested share of Or nodes sits on a directed cycle. Coverage is
+tracked incrementally: a bridge x -> a -> y puts on a cycle exactly the
+nodes in desc(y) & anc(x), so no strongly connected component is ever
+recomputed during generation. Node counts
 follow the requested leaf/and/or ratio exactly (bridge And nodes are
 pre-reserved out of the And budget), and everything is deterministic per
 seed.
@@ -18,7 +21,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 
@@ -100,6 +103,7 @@ class _Builder:
         self.edges: set[tuple[int, int]] = set()
         self.parents: dict[int, set[int]] = {}
         self.children: dict[int, set[int]] = {}
+        self.covered: set[int] = set()
 
     def add_edge(self, src: int, dst: int) -> None:
         if (src, dst) in self.edges or src == dst:
@@ -108,36 +112,33 @@ class _Builder:
         self.parents.setdefault(dst, set()).add(src)
         self.children.setdefault(src, set()).add(dst)
 
-    def or_ancestors(self, start: int, ors: set[int]) -> list[int]:
+    def _reach(self, start: int, adj: dict[int, set[int]]) -> set[int]:
+        """``start`` and every node reachable from it along ``adj``."""
         seen = {start}
         frontier = [start]
-        found = set()
         while frontier:
-            v = frontier.pop()
-            for p in self.parents.get(v, ()):
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
-                    if p in ors:
-                        found.add(p)
-        return sorted(found)
+            for w in adj.get(frontier.pop(), ()):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    def or_ancestors(self, start: int, ors: set[int]) -> list[int]:
+        return sorted((self._reach(start, self.parents) & ors) - {start})
 
     def or_descendants(self, start: int, ors: set[int]) -> list[int]:
-        seen = {start}
-        frontier = [start]
-        found = set()
-        while frontier:
-            v = frontier.pop()
-            for c in self.children.get(v, ()):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-                    if c in ors:
-                        found.add(c)
-        return sorted(found)
+        return sorted((self._reach(start, self.children) & ors) - {start})
 
-    def covered_ors(self, ors: Sequence[int]) -> set[int]:
-        return _on_cycles(self.edges).intersection(ors)
+    def cover(self, x: int, y: int, ors: set[int]) -> None:
+        """Add to ``covered`` the Or nodes on cycles closed by a bridge x -> a -> y.
+
+        Besides x -> a and a -> y, a has only an in-edge from a parentless
+        leaf, so every new cycle runs x -> a -> y ~> x: the nodes newly on a
+        cycle are exactly desc(y) & anc(x). Nodes on a cycle stay on one.
+        """
+        down = self._reach(y, self.children)
+        if x in down:
+            self.covered |= down & self._reach(x, self.parents) & ors
 
 
 def generate(params: GenParams) -> AttackGraph:
@@ -207,12 +208,14 @@ def generate(params: GenParams) -> AttackGraph:
         if leaves:
             b.add_edge(rng.choice(leaves), a)
         b.add_edge(a, dst_or)
+        b.cover(src_or, dst_or, or_set)
 
+    # The base wiring is acyclic by rank, so b.covered starts empty.
+    or_set = set(ors)
+    covered = b.covered
     if target_or > 0:
-        or_set = set(ors)
-        covered = b.covered_ors(ors)
         while len(covered) < target_or:
-            uncovered = sorted(set(ors) - covered)
+            uncovered = sorted(or_set - covered)
             x = rng.choice(uncovered)
             ancestors = b.or_ancestors(x, or_set)
             fresh = [y for y in ancestors if y not in covered]
@@ -234,7 +237,6 @@ def generate(params: GenParams) -> AttackGraph:
                     w = rng.choice(partners)
                     add_bridge(x, w)
                     add_bridge(w, x)
-            covered = b.covered_ors(ors)
 
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.

@@ -104,6 +104,8 @@ def import_feed(path) -> list[CveRecord]:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read feed {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"feed is not UTF-8 text: {exc.reason}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

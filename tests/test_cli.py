@@ -302,3 +302,36 @@ def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
     assert run(["cycles", "--in", str(path)]) == 0
     assert capsys.readouterr().out.count("needs-target") == 3
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in", "{bin}"],
+        ["convert", "--plain", "{bin}", "--out", "{out}"],
+        ["score", "--in", RUNNING, "--feed", "{bin}", "--out", "{out}"],
+    ],
+)
+def test_non_utf8_input_is_a_data_error(argv, tmp_path, capsys):
+    binary = tmp_path / "bin.json"
+    binary.write_bytes(b"\xff\xfe")
+    out = tmp_path / "out.json"
+    argv = [a.format(bin=binary, out=out) for a in argv]
+    assert run(argv) == 2
+    assert "error [" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_zero_probability_prints_as_zero(tmp_path, capsys):
+    doc = {
+        "version": "1",
+        "nodes": [
+            {"id": 0, "kind": "leaf", "label": "", "p": "-0"},
+            {"id": 1, "kind": "and", "label": "", "p": "1"},
+        ],
+        "edges": [[0, 1]],
+    }
+    path = tmp_path / "negzero.json"
+    path.write_text(json.dumps(doc))
+    assert run(["solve", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "0\t0.000000\n1\t0.000000\n"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -188,6 +189,25 @@ def test_read_mulval_csv_dangling_arc(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_mulval_csv(vertices, arcs)
     assert exc.value.line == 1
+
+
+def test_read_mulval_csv_negative_zero(tmp_path):
+    vertices = tmp_path / "v.csv"
+    vertices.write_text('0,"x",LEAF,-0\n')
+    arcs = tmp_path / "a.csv"
+    arcs.write_text("")
+    assert math.copysign(1.0, read_mulval_csv(vertices, arcs).local_prob(0)) == 1.0
+
+
+@pytest.mark.parametrize("bad", ["vertices", "arcs"])
+def test_read_mulval_csv_non_utf8_is_a_parse_error(bad, tmp_path):
+    vertices = tmp_path / "v.csv"
+    vertices.write_text('0,"x",LEAF,1.0\n')
+    arcs = tmp_path / "a.csv"
+    arcs.write_text("")
+    (vertices if bad == "vertices" else arcs).write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_mulval_csv(vertices, arcs)
 
 
 def test_write_dot(tmp_path, fig5):

@@ -1,7 +1,11 @@
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cybag import generator
 from cybag.errors import InfeasibleError
 from cybag.generator import (
     BenchRow,
@@ -104,6 +108,56 @@ def test_params_validation():
         GenParams(n=10, cyclicity=150)
     with pytest.raises(ValueError):
         GenParams(n=10, cyclicity=0, ratio=(50, 30, 15))
+
+
+@st.composite
+def gen_params(draw):
+    a = draw(st.floats(0, 100))
+    b = draw(st.floats(0, 100 - a))
+    # most random ratios cannot reserve enough bridges: mix in feasible ones
+    ratio = draw(st.sampled_from([(50, 35, 15), (20, 60, 20), (a, b, 100 - a - b)]))
+    return GenParams(
+        n=draw(st.integers(3, 150) | st.integers(60, 150)),
+        cyclicity=draw(st.floats(1, 100)),
+        ratio=ratio,
+        seed=draw(st.integers(0, 2**32)),
+        max_parents=draw(st.integers(1, 5)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_params())
+# max_parents=1 wires no Or into an action, so only the partner branch fires
+@example(GenParams(n=120, cyclicity=100, seed=3, max_parents=1))
+@example(GenParams(n=150, cyclicity=37, ratio=(30, 50, 20), seed=5, max_parents=5))
+def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
+    """The incremental cover set matches a full SCC recomputation."""
+    cover = generator._Builder.cover
+    bridges = 0
+
+    def checked(self, x, y, ors):
+        nonlocal bridges
+        cover(self, x, y, ors)
+        bridges += 1
+        assert self.covered == generator._on_cycles(self.edges) & ors
+
+    with mock.patch.object(generator._Builder, "cover", checked):
+        try:
+            g = generate(params)
+        except InfeasibleError:
+            return
+    assert bridges > 0
+    assert cyclic_or_fraction(g) >= params.cyclicity / 100.0
+
+
+def test_generate_never_rebuilds_sccs(monkeypatch):
+    def rebuild(edges):
+        raise AssertionError("generate recomputed strongly connected components")
+
+    monkeypatch.setattr(generator, "_on_cycles", rebuild)
+    g = generate(GenParams(n=1000, cyclicity=100, seed=0))
+    monkeypatch.undo()
+    assert cyclic_or_fraction(g) == 1.0
 
 
 def test_bench_row_count_and_reproducibility():

@@ -2,6 +2,8 @@
 
 ``golden_generate.json`` maps ``n/cyclicity/seed`` to the sha256 of the
 ``write_json`` bytes of ``generate(GenParams(n, cyclicity, seed=seed))``.
+The grid covers n in {30, 200, 1000} x cyclicity in {0, 40, 100} x seeds
+0-2, plus the benchmark size n=4000 x cyclicity in {40, 100} x seeds 0-1.
 A change to the generator that alters any graph fails here. To re-record
 after an intended change, run ``PYTHONPATH=src python tests/test_golden_generate.py``.
 """
@@ -17,16 +19,17 @@ GOLDEN = Path(__file__).with_name("golden_generate.json")
 SIZES = (30, 200, 1000)
 CYCLICITIES = (0, 40, 100)
 SEEDS = (0, 1, 2)
+GRID = [(n, c, s) for n in SIZES for c in CYCLICITIES for s in SEEDS] + [
+    (4000, c, s) for c in (40, 100) for s in (0, 1)
+]
 
 
 def digests(tmp: Path) -> dict[str, str]:
     out = {}
     path = tmp / "g.json"
-    for n in SIZES:
-        for c in CYCLICITIES:
-            for seed in SEEDS:
-                write_json(generate(GenParams(n=n, cyclicity=c, seed=seed)), path)
-                out[f"{n}/{c}/{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for n, c, seed in GRID:
+        write_json(generate(GenParams(n=n, cyclicity=c, seed=seed)), path)
+        out[f"{n}/{c}/{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 
