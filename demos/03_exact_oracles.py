@@ -8,7 +8,6 @@ its access probability, and that semantics works on cyclic graphs too.
 """
 
 from cybag import (
-    augment,
     brute_force_marginal,
     eliminate,
     elimination_order,
@@ -39,9 +38,8 @@ print("diamond, exact:", eliminate(to_bayes_net(diamond), 3))  # 0.50
 
 # The circuit view: one primed input per node carries the probability;
 # gates are deterministic. Iterate from all-zero until nothing changes.
-aug = augment(diamond)
 inst = Instantiation({v: 1 for v in diamond.node_ids})
-state, k_star = fixed_point(aug, inst)
+state, k_star = fixed_point(diamond, inst)
 print("\nall-ones instantiation settles at k* =", k_star, "values", dict(state.values))
 
 # Reachability also has a Monte Carlo estimator for graphs too large to

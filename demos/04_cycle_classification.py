@@ -13,7 +13,6 @@ explain graphs and to justify (or veto) edge-removal in other tools.
 from cybag import (
     CycleType,
     Instantiation,
-    augment,
     classify_all,
     classify_cycle,
     closing_edge,
@@ -38,7 +37,7 @@ for name in ("type1.json", "type2.json", "type3.json"):
 # one instantiation and note when each node first turns on.
 g3 = load_fixture("type3.json")
 inst = Instantiation({v: (1 if v != 1 else 0) for v in g3.node_ids})
-hits = {fh.node: fh.k_star_i for fh in first_hit(augment(g3), inst)}
+hits = {fh.node: fh.k_star_i for fh in first_hit(g3, inst)}
 print("\nfirst-hit times with the main entry disabled:", hits)
 
 # Edge removal is only safe on Type 2. Watch the target probability.

@@ -19,11 +19,9 @@ from .bayes import (
     to_bayes_net,
 )
 from .circuit import (
-    AugmentedGraph,
     CircuitState,
     Instantiation,
     ReachEstimate,
-    augment,
     fixed_point,
     reachability_exact,
     reachability_mc,

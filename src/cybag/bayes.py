@@ -81,15 +81,6 @@ class Cpt:
     kind: NodeKind
     prob: float
 
-    def prob_given(self, value: int, parent_values: Mapping[int, int]) -> float:
-        if self.kind is NodeKind.LEAF:
-            p1 = self.prob
-        elif self.kind is NodeKind.AND:
-            p1 = self.prob if all(parent_values[p] for p in self.parents) else 0.0
-        else:
-            p1 = self.prob if any(parent_values[p] for p in self.parents) else 0.0
-        return p1 if value else 1.0 - p1
-
     def to_factor(self) -> Factor:
         k = len(self.parents)
         if k > WIDTH_LIMIT:
@@ -114,7 +105,6 @@ class Cpt:
 @dataclass(frozen=True)
 class BayesNet:
     variables: tuple[int, ...]
-    structure: tuple[tuple[int, int], ...]
     cpts: Mapping[int, Cpt]
 
 
@@ -126,7 +116,7 @@ def to_bayes_net(graph: AttackGraph) -> BayesNet:
         n.id: Cpt(n.id, graph.parents[n.id], n.kind, n.local_prob)
         for n in graph.nodes
     }
-    return BayesNet(tuple(graph.node_ids), graph.edges, cpts)
+    return BayesNet(tuple(graph.node_ids), cpts)
 
 
 def elimination_order(bn: BayesNet, query: int) -> list[int]:

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import TooLargeError
-from .graph import AttackGraph, NodeKind
-from .propagate import _OR, _Compiled, _lookup
+from .graph import KIND_OR, AttackGraph, DenseIndex, NodeKind
 
 EXACT_ENUM_LIMIT = 24
 MC_SAMPLE_LIMIT = 1 << 32
@@ -58,19 +57,9 @@ CHUNK_BUDGET_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
-class AugmentedGraph:
-    """Base graph plus one primed input per node.
-
-    The primed input feeding node ``v`` is addressed by ``v``'s own id in
-    :class:`Instantiation` bit maps.
-    """
-
-    base: AttackGraph
-
-
-@dataclass(frozen=True)
 class Instantiation:
-    """One 0/1 assignment to every primed input."""
+    """One 0/1 assignment to every primed input, keyed by the id of the
+    node each input feeds."""
 
     bits: Mapping[int, int]
 
@@ -89,13 +78,9 @@ class ReachEstimate:
     std_error: float
 
 
-def augment(graph: AttackGraph) -> AugmentedGraph:
-    return AugmentedGraph(graph)
-
-
-def _check_domain(aug: AugmentedGraph, mapping: Mapping[int, int], what: str) -> None:
-    if set(mapping) != set(aug.base.node_ids):
-        raise ValueError(f"{what} domain does not match the augmented graph")
+def _check_domain(graph: AttackGraph, mapping: Mapping[int, int], what: str) -> None:
+    if set(mapping) != set(graph.node_ids):
+        raise ValueError(f"{what} domain does not match the graph")
 
 
 def _gate(kind: NodeKind, parent_values: list[int], prime: int) -> int:
@@ -106,32 +91,31 @@ def _gate(kind: NodeKind, parent_values: list[int], prime: int) -> int:
     return 1 if fed and prime else 0
 
 
-def step(aug: AugmentedGraph, state: CircuitState, inst: Instantiation) -> CircuitState:
+def step(graph: AttackGraph, state: CircuitState, inst: Instantiation) -> CircuitState:
     """One synchronous update of every gate from the previous state."""
-    _check_domain(aug, state.values, "state")
-    _check_domain(aug, inst.bits, "instantiation")
-    g = aug.base
+    _check_domain(graph, state.values, "state")
+    _check_domain(graph, inst.bits, "instantiation")
     new_values = {
         v: _gate(
-            g.kind(v),
-            [state.values[p] for p in g.parents[v]],
+            graph.kind(v),
+            [state.values[p] for p in graph.parents[v]],
             inst.bits[v],
         )
-        for v in g.node_ids
+        for v in graph.node_ids
     }
     return CircuitState(new_values, state.iteration + 1)
 
 
-def fixed_point(aug: AugmentedGraph, inst: Instantiation) -> tuple[CircuitState, int]:
+def fixed_point(graph: AttackGraph, inst: Instantiation) -> tuple[CircuitState, int]:
     """Iterate from all-zero until the state repeats.
 
     Returns the steady state and the first iteration index k with
     state(k+1) == state(k); monotonicity bounds k by the node count.
     """
-    state = CircuitState({v: 0 for v in aug.base.node_ids}, 0)
-    n = len(aug.base.node_ids)
+    state = CircuitState({v: 0 for v in graph.node_ids}, 0)
+    n = len(graph.node_ids)
     while True:
-        nxt = step(aug, state, inst)
+        nxt = step(graph, state, inst)
         if nxt.values == state.values:
             k_star = state.iteration
             assert k_star <= n, f"fixed point after {k_star} steps on {n} nodes"
@@ -167,11 +151,11 @@ def _prime_levels(n: int, dtype) -> tuple:
     return (True, False) if np.dtype(dtype) == bool else (0, n + 1)
 
 
-def _fractional_inputs(c: _Compiled) -> list[int]:
-    return [i for i, p in enumerate(c.probs) if 0.0 < p < 1.0]
+def _fractional_inputs(d: DenseIndex) -> list[int]:
+    return [i for i, p in enumerate(d.probs) if 0.0 < p < 1.0]
 
 
-def _evaluate(c: _Compiled, cells: np.ndarray) -> np.ndarray:
+def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
     """Run the condensation-order pass over ``cells`` in place and return it.
 
     On entry each row holds its node's primed input: True/False in
@@ -188,8 +172,8 @@ def _evaluate(c: _Compiled, cells: np.ndarray) -> np.ndarray:
     fed = np.empty(m, dtype=cells.dtype)
 
     def gate(i: int, prime: np.ndarray, out: np.ndarray) -> None:
-        ps = c.parents[i]
-        if c.kinds[i] == _OR:
+        ps = d.parents[i]
+        if d.kinds[i] == KIND_OR:
             if not ps:
                 out.fill(off)
                 return
@@ -209,7 +193,7 @@ def _evaluate(c: _Compiled, cells: np.ndarray) -> np.ndarray:
             out += 1
 
     new = np.empty(m, dtype=cells.dtype)
-    for members, cyclic in c.blocks:
+    for members, cyclic in d.blocks:
         if not cyclic:
             gate(members[0], cells[members[0]], cells[members[0]])
             continue
@@ -226,40 +210,65 @@ def _evaluate(c: _Compiled, cells: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _chunks(c: _Compiled, dtype, total: int):
-    """Enumeration indices 0..total-1 in budget-sized consecutive chunks."""
-    width = chunk_columns(len(c.ids), np.dtype(dtype).itemsize, total)
-    for start in range(0, total, width):
-        yield np.arange(start, min(total, start + width), dtype=np.int64)
-
-
-def _enumeration_weights(c: _Compiled, fractional: list[int], idx: np.ndarray) -> np.ndarray:
-    weights = np.ones(len(idx))
-    for j, i in enumerate(fractional):
-        bit = ((idx >> j) & 1).astype(bool)
-        weights *= np.where(bit, c.probs[i], 1.0 - c.probs[i])
-    return weights
-
-
-def _input_cells(c: _Compiled, fractional: list[int], idx: np.ndarray, dtype) -> np.ndarray:
+def _input_cells(d: DenseIndex, fractional: list[int], idx: np.ndarray, dtype) -> np.ndarray:
     """Cell matrix holding the primed inputs of enumeration indices ``idx``
-    in the encoding of ``dtype``'s mode, with constant inputs folded."""
-    on, off = _prime_levels(len(c.ids), dtype)
-    cells = np.empty((len(c.ids), len(idx)), dtype=dtype)
-    for i, p in enumerate(c.probs):
+    in the encoding of ``dtype``'s mode, with constant inputs folded: bit j
+    of an index drives the j-th fractional input."""
+    on, off = _prime_levels(len(d.ids), dtype)
+    cells = np.empty((len(d.ids), len(idx)), dtype=dtype)
+    for i, p in enumerate(d.probs):
         cells[i] = on if p >= 1.0 else off
     for j, i in enumerate(fractional):
         cells[i] = np.where((idx >> j) & 1, on, off)
     return cells
 
 
-def _check_enumerable(fractional: list[int], limit: int, what: str) -> int:
-    """Number of instantiations to enumerate; TooLargeError past ``limit`` bits."""
+def _enumerate(
+    d: DenseIndex, dtype, limit: int, what: str
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Evaluate every instantiation of the fractional inputs in ``dtype``'s
+    mode, yielding (enumeration indices, evaluated cells) per chunk of
+    consecutive indices. Raises :class:`TooLargeError` past ``limit``
+    fractional inputs."""
+    fractional = _fractional_inputs(d)
     if len(fractional) > limit:
         raise TooLargeError(
             f"{len(fractional)} fractional inputs exceed the {limit}-bit {what} limit"
         )
-    return 1 << len(fractional)
+    total = 1 << len(fractional)
+    width = chunk_columns(len(d.ids), np.dtype(dtype).itemsize, total)
+    for start in range(0, total, width):
+        idx = np.arange(start, min(total, start + width), dtype=np.int64)
+        yield idx, _evaluate(d, _input_cells(d, fractional, idx, dtype))
+
+
+def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> np.ndarray:
+    """First-hit tick of every node under one instantiation, in ascending
+    id order; n + 1 (for n nodes) means never."""
+    _check_domain(graph, inst.bits, "instantiation")
+    d = graph.dense
+    dtype = _tick_dtype(len(d.ids))
+    on, off = _prime_levels(len(d.ids), dtype)
+    cells = np.array([[on if inst.bits[v] else off] for v in d.ids], dtype=dtype)
+    return _evaluate(d, cells)[:, 0]
+
+
+def enumerate_first_hits(
+    graph: AttackGraph, limit: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """First-hit ticks (nodes x instantiations, n + 1 for never) of every
+    instantiation of the fractional inputs, yielded per chunk with the
+    chunk's enumeration indices. Raises :class:`TooLargeError` past
+    ``limit`` fractional inputs."""
+    d = graph.dense
+    return _enumerate(d, _tick_dtype(len(d.ids)), limit, "classification")
+
+
+def instantiation_at(graph: AttackGraph, index: int) -> Instantiation:
+    """The instantiation at ``index`` in enumeration order."""
+    d = graph.dense
+    cells = _input_cells(d, _fractional_inputs(d), np.array([index]), bool)
+    return Instantiation({v: int(cells[i, 0]) for i, v in enumerate(d.ids)})
 
 
 def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
@@ -269,14 +278,17 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     with probability 0 or 1 are folded to constants. Well-defined on
     cyclic graphs.
     """
-    c, row = _lookup(graph, v)
-    fractional = _fractional_inputs(c)
-    total = _check_enumerable(fractional, EXACT_ENUM_LIMIT, "enumeration")
+    d = graph.dense
+    row = d.row(v)
+    fractional = _fractional_inputs(d)
     sums = []
-    for idx in _chunks(c, bool, total):
-        weights = _enumeration_weights(c, fractional, idx)
-        finals = _evaluate(c, _input_cells(c, fractional, idx, bool))
+    total = 0
+    for idx, finals in _enumerate(d, bool, EXACT_ENUM_LIMIT, "enumeration"):
+        weights = np.ones(len(idx))
+        for j, i in enumerate(fractional):
+            weights *= np.where((idx >> j) & 1, d.probs[i], 1.0 - d.probs[i])
         sums.append(math.fsum(weights[finals[row]].tolist()))
+        total += len(idx)
     return ReachEstimate(min(1.0, math.fsum(sums)), "exact", total, 0.0)
 
 
@@ -288,28 +300,29 @@ def reachability_mc(
     Samples are drawn in budget-sized chunks, node by node within a chunk;
     at most :data:`MC_SAMPLE_LIMIT` are taken.
     """
-    c, row = _lookup(graph, v)
+    d = graph.dense
+    row = d.row(v)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > MC_SAMPLE_LIMIT:
         raise TooLargeError(
             f"{samples} samples exceed the {MC_SAMPLE_LIMIT}-sample limit"
         )
-    n = len(c.ids)
+    n = len(d.ids)
     rng = np.random.default_rng(seed)
     width = chunk_columns(n, 1, samples)
     hits = 0
     for start in range(0, samples, width):
         m = min(width, samples - start)
         bits = np.empty((n, m), dtype=bool)
-        for i, p in enumerate(c.probs):
+        for i, p in enumerate(d.probs):
             if p <= 0.0:
                 bits[i] = False
             elif p >= 1.0:
                 bits[i] = True
             else:
                 bits[i] = rng.random(m) < p
-        hits += int(_evaluate(c, bits)[row].sum())
+        hits += int(_evaluate(d, bits)[row].sum())
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

@@ -26,21 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import (
-    AugmentedGraph,
-    Instantiation,
-    _check_domain,
-    _check_enumerable,
-    _chunks,
-    _evaluate,
-    _fractional_inputs,
-    _input_cells,
-    _prime_levels,
-    _tick_dtype,
-)
+from .circuit import Instantiation, enumerate_first_hits, first_hit_ticks, instantiation_at
 from .errors import TargetRequiredError, UnknownNodeError
 from .graph import AttackGraph, CyclePath, find_cycles
-from .propagate import _Compiled, _compile
 
 CLASSIFY_ENUM_LIMIT = 20
 
@@ -70,31 +58,13 @@ class CycleReport:
     witness: tuple[Instantiation, int, int] | None = None
 
 
-def _ticks(c: _Compiled, primes: np.ndarray) -> np.ndarray:
-    """First-hit ticks for explicit primed-input columns (bool, nodes x m)."""
-    dtype = _tick_dtype(len(c.ids))
-    return _evaluate(c, np.where(primes, *_prime_levels(len(c.ids), dtype)).astype(dtype))
-
-
-def first_hit(aug: AugmentedGraph, inst: Instantiation) -> list[FirstHit]:
+def first_hit(graph: AttackGraph, inst: Instantiation) -> list[FirstHit]:
     """First-hit time of every node under one instantiation."""
-    _check_domain(aug, inst.bits, "instantiation")
-    c = _compile(aug.base)
-    hits = _ticks(c, np.array([[bool(inst.bits[v])] for v in c.ids]))
-    never = len(c.ids) + 1
+    hits = first_hit_ticks(graph, inst)
+    never = len(graph.node_ids) + 1
     return [
-        FirstHit(v, int(hits[i, 0]) if hits[i, 0] < never else None)
-        for i, v in enumerate(c.ids)
+        FirstHit(v, int(t) if t < never else None) for v, t in zip(graph.node_ids, hits)
     ]
-
-
-def _witness_instantiation(c, fractional: list[int], index: int) -> Instantiation:
-    bits = {}
-    for i, v in enumerate(c.ids):
-        bits[v] = 1 if c.probs[i] >= 1.0 else 0
-    for j, i in enumerate(fractional):
-        bits[c.ids[i]] = (index >> j) & 1
-    return Instantiation(bits)
 
 
 def classify_cycles(
@@ -112,33 +82,29 @@ def classify_cycles(
     """
     if not cycles:
         return []
-    c = _compile(graph)
+    index = graph.dense.index
     cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
     for ids in cycle_ids:
         for v in ids:
-            if v not in c.index:
+            if v not in index:
                 raise UnknownNodeError(f"cycle node {v} is not in the graph")
-    if target is not None and target not in c.index:
+    if target is not None and target not in index:
         raise UnknownNodeError(f"target {target} is not in the graph")
 
-    fractional = _fractional_inputs(c)
-    total = _check_enumerable(fractional, CLASSIFY_ENUM_LIMIT, "classification")
-    cycle_rows = [[c.index[v] for v in ids] for ids in cycle_ids]
+    cycle_rows = [[index[v] for v in ids] for ids in cycle_ids]
     on_cycles = sorted({i for rows in cycle_rows for i in rows})
-    dtype = _tick_dtype(len(c.ids))
-    _, never = _prime_levels(len(c.ids), dtype)
+    never = len(index) + 1
 
-    ever_on = np.zeros(len(c.ids), dtype=bool)
+    ever_on = np.zeros(len(index), dtype=bool)
     witnesses: list[tuple[Instantiation, int, int] | None] = [None] * len(cycles)
-    for idx in _chunks(c, dtype, total):
-        hits = _evaluate(c, _input_cells(c, fractional, idx, dtype))
+    for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
         for i in on_cycles:
             ever_on[i] |= bool(hits[i].min() < never)
         if target is None:
             continue
-        th = hits[c.index[target]]
+        th = hits[index[target]]
         reached = th < never
-        first = np.empty(len(idx), dtype=dtype)
+        first = np.empty(len(idx), dtype=hits.dtype)
         for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
             if witnesses[k] is not None:
                 continue
@@ -150,11 +116,7 @@ def classify_cycles(
                 m = int(np.argmax(early))
                 k_target = int(th[m])
                 node_j = min(v for v, i in zip(ids, rows) if hits[i, m] < k_target)
-                witnesses[k] = (
-                    _witness_instantiation(c, fractional, int(idx[m])),
-                    node_j,
-                    k_target - 1,
-                )
+                witnesses[k] = (instantiation_at(graph, int(idx[m])), node_j, k_target - 1)
 
     reports = []
     for cycle, rows, witness in zip(cycles, cycle_rows, witnesses):
@@ -204,9 +166,8 @@ def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:
     the cycle's entry; the cycle edge pointing into it is the one
     edge-removal schemes would cut.
     """
-    c = _compile(graph)
-    hits = _ticks(c, np.ones((len(c.ids), 1), dtype=bool))
-    head = min(cycle.node_set, key=lambda v: (int(hits[c.index[v], 0]), v))
+    hits = first_hit_ticks(graph, Instantiation({v: 1 for v in graph.node_ids}))
+    head = min(cycle.node_set, key=lambda v: (int(hits[graph.dense.index[v]]), v))
     for src, dst in cycle.edge_list:
         if dst == head:
             return (src, dst)

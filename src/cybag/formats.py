@@ -126,6 +126,8 @@ def _read_document(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno})", "$") from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nested too deeply", "$") from exc
 
 
 def read_json(path) -> AttackGraph:

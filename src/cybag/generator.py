@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from .errors import InfeasibleError
 from .graph import AttackGraph, Node, NodeKind
 from .propagate import solve_all
@@ -73,18 +71,10 @@ def _counts(n: int, ratio: tuple[float, float, float]) -> tuple[int, int, int]:
     return base[0], base[1], base[2]
 
 
-def _on_cycles(edges: Iterable[tuple[int, int]]) -> set[int]:
-    """Nodes inside a strongly connected component of size >= 2."""
-    on_cycle: set[int] = set()
-    for comp in nx.strongly_connected_components(nx.DiGraph(list(edges))):
-        if len(comp) >= 2:
-            on_cycle.update(comp)
-    return on_cycle
-
-
 def nodes_on_cycles(graph: AttackGraph) -> set[int]:
     """Ids of all nodes inside a strongly connected component of size >= 2."""
-    return _on_cycles(graph.edges)
+    d = graph.dense
+    return {d.ids[i] for members, _ in d.blocks if len(members) >= 2 for i in members}
 
 
 def cyclic_or_fraction(graph: AttackGraph) -> float:

@@ -5,6 +5,10 @@ nodes, each carrying a local probability. Unlike classic attack-graph
 formalisms the model deliberately admits directed cycles; the solvers in
 :mod:`cybag.propagate` and :mod:`cybag.circuit` are built to handle them.
 
+:attr:`AttackGraph.dense` is the one dense-index view every engine reads:
+nodes as rows, kind codes, parent rows and the condensation into strongly
+connected components, each built on first use and cached on the graph.
+
 Graphs are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
 """
@@ -18,9 +22,11 @@ from typing import Iterable, Mapping
 
 import networkx as nx
 
-from .errors import CycleLimitError, PlainCycleError
+from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
 DEFAULT_MAX_CYCLES = 10_000
+# Node kinds as the small ints the engines' inner loops compare against.
+KIND_LEAF, KIND_AND, KIND_OR = 0, 1, 2
 
 
 class NodeKind(Enum):
@@ -118,6 +124,53 @@ class AttackGraph:
         g.add_nodes_from(self.node_ids)
         g.add_edges_from(self.edges)
         return g
+
+    @cached_property
+    def dense(self) -> "DenseIndex":
+        """Dense-index view shared by every engine; built on first use."""
+        return DenseIndex(self)
+
+
+class DenseIndex:
+    """Nodes as rows 0..n-1 in ascending id order, for the engines' inner loops.
+
+    ``kinds`` holds ``KIND_*`` codes, ``probs`` local probabilities and
+    ``parents`` the ascending parent rows of each row.
+    """
+
+    def __init__(self, graph: AttackGraph):
+        self.ids = list(graph.node_ids)
+        self.index = {v: i for i, v in enumerate(self.ids)}
+        codes = {NodeKind.LEAF: KIND_LEAF, NodeKind.AND: KIND_AND, NodeKind.OR: KIND_OR}
+        self.kinds = [codes[n.kind] for n in graph.nodes]
+        self.probs = [n.local_prob for n in graph.nodes]
+        # ids are ascending, so ascending parent ids map to ascending rows
+        self.parents = [
+            tuple(self.index[p] for p in graph.parents[v]) for v in self.ids
+        ]
+
+    def row(self, v: int) -> int:
+        """Row of node ``v``; raises :class:`UnknownNodeError` if absent."""
+        if v not in self.index:
+            raise UnknownNodeError(f"node {v} is not in the graph")
+        return self.index[v]
+
+    @cached_property
+    def blocks(self) -> list[tuple[tuple[int, ...], bool]]:
+        """Strongly connected components in topological order of the
+        condensation, as (ascending member rows, cyclic). A component is
+        cyclic when it has two or more members or a self-edge. Computed on
+        first use, so the recursive solver never pays for it."""
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(self.ids)))
+        g.add_edges_from((p, i) for i, ps in enumerate(self.parents) for p in ps)
+        cond = nx.condensation(g)
+        blocks = []
+        for k in nx.topological_sort(cond):
+            members = tuple(sorted(cond.nodes[k]["members"]))
+            cyclic = len(members) > 1 or members[0] in self.parents[members[0]]
+            blocks.append((members, cyclic))
+        return blocks
 
 
 @dataclass(frozen=True)

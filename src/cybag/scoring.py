@@ -110,6 +110,8 @@ def import_feed(path) -> list[CveRecord]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"feed is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("feed JSON is nested too deeply") from exc
     if not isinstance(data, list):
         raise ParseError("feed must be a JSON array of records")
 

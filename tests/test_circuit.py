@@ -13,7 +13,6 @@ from cybag.circuit import (
     Instantiation,
     _evaluate,
     _tick_dtype,
-    augment,
     chunk_columns,
     fixed_point,
     reachability_exact,
@@ -24,7 +23,7 @@ from cybag.errors import TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import AttackGraph, Node, NodeKind, is_loop_free
-from cybag.propagate import _compile, solve_node
+from cybag.propagate import solve_node
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
 
@@ -41,17 +40,11 @@ def zero_state(graph):
     return CircuitState({v: 0 for v in graph.node_ids}, 0)
 
 
-def test_augment_structure(fig5):
-    aug = augment(fig5)
-    assert aug.base is fig5
-
-
 def test_single_leaf_copies_its_input():
     g = AttackGraph([Node(0, L, "", 0.5)], [])
-    aug = augment(g)
-    s1 = step(aug, zero_state(g), Instantiation({0: 1}))
+    s1 = step(g, zero_state(g), Instantiation({0: 1}))
     assert s1.values == {0: 1}
-    s1 = step(aug, zero_state(g), Instantiation({0: 0}))
+    s1 = step(g, zero_state(g), Instantiation({0: 0}))
     assert s1.values == {0: 0}
 
 
@@ -60,57 +53,52 @@ def test_or_gate_conjoins_its_prime():
         [Node(0, L, "", 1.0), Node(1, L, "", 1.0), Node(2, O, "", 1.0)],
         [(0, 2), (1, 2)],
     )
-    aug = augment(g)
     ready = CircuitState({0: 1, 1: 0, 2: 0}, 1)
-    assert step(aug, ready, Instantiation({0: 1, 1: 1, 2: 1})).values[2] == 1
-    assert step(aug, ready, Instantiation({0: 1, 1: 1, 2: 0})).values[2] == 0
+    assert step(g, ready, Instantiation({0: 1, 1: 1, 2: 1})).values[2] == 1
+    assert step(g, ready, Instantiation({0: 1, 1: 1, 2: 0})).values[2] == 0
 
 
 def test_step_hand_simulation(fig5):
-    aug = augment(fig5)
     inst = all_ones(fig5)
-    s1 = step(aug, zero_state(fig5), inst)
+    s1 = step(fig5, zero_state(fig5), inst)
     assert s1.values == {0: 1, 1: 1, 2: 0} and s1.iteration == 1
-    s2 = step(aug, s1, inst)
+    s2 = step(fig5, s1, inst)
     assert s2.values == {0: 1, 1: 1, 2: 1}
 
 
 def test_step_prime_zero_pins_node(fig5):
-    aug = augment(fig5)
     inst = Instantiation({0: 1, 1: 1, 2: 0})
     state = zero_state(fig5)
     for _ in range(5):
-        state = step(aug, state, inst)
+        state = step(fig5, state, inst)
         assert state.values[2] == 0
 
 
 def test_step_fixed_point_is_fixed(fig5):
-    aug = augment(fig5)
     inst = all_ones(fig5)
-    state, _ = fixed_point(aug, inst)
-    assert step(aug, state, inst).values == dict(state.values)
+    state, _ = fixed_point(fig5, inst)
+    assert step(fig5, state, inst).values == dict(state.values)
 
 
 def test_step_rejects_mismatched_domain(fig5):
-    aug = augment(fig5)
     with pytest.raises(ValueError):
-        step(aug, zero_state(fig5), Instantiation({0: 1}))
+        step(fig5, zero_state(fig5), Instantiation({0: 1}))
 
 
 def test_fixed_point_all_ones(fig5):
-    state, k_star = fixed_point(augment(fig5), all_ones(fig5))
+    state, k_star = fixed_point(fig5, all_ones(fig5))
     assert state.values == {0: 1, 1: 1, 2: 1}
     assert k_star == 2
 
 
 def test_fixed_point_all_zeros(fig5):
-    state, k_star = fixed_point(augment(fig5), all_zeros(fig5))
+    state, k_star = fixed_point(fig5, all_zeros(fig5))
     assert set(state.values.values()) == {0}
     assert k_star in (0, 1)
 
 
 def test_fixed_point_enters_cycle(two_cycle):
-    state, k_star = fixed_point(augment(two_cycle), all_ones(two_cycle))
+    state, k_star = fixed_point(two_cycle, all_ones(two_cycle))
     assert state.values == {0: 1, 1: 1, 2: 1}
     assert k_star <= 3
 
@@ -170,7 +158,6 @@ def test_trajectories_monotone_and_bounded():
         generate(GenParams(n=50, cyclicity=100, seed=2)),
     ]
     for g in graphs:
-        aug = augment(g)
         n = len(g.node_ids)
         import random
 
@@ -179,7 +166,7 @@ def test_trajectories_monotone_and_bounded():
             inst = Instantiation({v: rng.randint(0, 1) for v in g.node_ids})
             state = CircuitState({v: 0 for v in g.node_ids}, 0)
             for k in range(n + 1):
-                nxt = step(aug, state, inst)
+                nxt = step(g, state, inst)
                 for v in g.node_ids:
                     assert nxt.values[v] >= state.values[v]
                 if nxt.values == state.values:
@@ -216,12 +203,12 @@ def test_exact_well_defined_on_cyclic_fixtures():
             assert 0.0 <= p <= 1.0
 
 
-def reference_run(aug, inst):
+def reference_run(g, inst):
     """Fixed-point values and first-hit ticks of the synchronous trajectory."""
-    state = CircuitState({v: 0 for v in aug.base.node_ids}, 0)
-    hits = {v: None for v in aug.base.node_ids}
+    state = CircuitState({v: 0 for v in g.node_ids}, 0)
+    hits = {v: None for v in g.node_ids}
     while True:
-        nxt = step(aug, state, inst)
+        nxt = step(g, state, inst)
         if nxt.values == state.values:
             return dict(state.values), hits
         for v, on in nxt.values.items():
@@ -232,17 +219,16 @@ def reference_run(aug, inst):
 
 def assert_engine_matches_reference(g):
     """Every instantiation of every primed input, all in one engine call per mode."""
-    c = _compile(g)
+    c = g.dense
     n = len(c.ids)
     cols = np.arange(1 << n)
     primes = np.array([(cols >> j) & 1 for j in range(n)], dtype=bool)
     values = _evaluate(c, primes.copy())
     ticks = _evaluate(c, np.where(primes, 0, n + 1).astype(_tick_dtype(n)))
-    aug = augment(g)
     for k in cols:
         inst = Instantiation({v: int(primes[i, k]) for i, v in enumerate(c.ids)})
-        ref_values, ref_hits = reference_run(aug, inst)
-        assert ref_values == dict(fixed_point(aug, inst)[0].values)
+        ref_values, ref_hits = reference_run(g, inst)
+        assert ref_values == dict(fixed_point(g, inst)[0].values)
         assert {v: int(values[i, k]) for i, v in enumerate(c.ids)} == ref_values
         got_hits = {
             v: int(ticks[i, k]) if ticks[i, k] <= n else None for i, v in enumerate(c.ids)

@@ -1,7 +1,7 @@
 import pytest
 
-from cybag import circuit, classify
-from cybag.circuit import Instantiation, augment, reachability_exact
+from cybag import circuit
+from cybag.circuit import Instantiation, instantiation_at, reachability_exact
 from cybag.classify import (
     CycleType,
     classify_all,
@@ -15,25 +15,37 @@ from cybag.formats import load_fixture
 from cybag.graph import AttackGraph, Node, NodeKind, find_cycles
 
 
-def hits_by_node(aug, inst):
-    return {fh.node: fh.k_star_i for fh in first_hit(aug, inst)}
+def hits_by_node(g, inst):
+    return {fh.node: fh.k_star_i for fh in first_hit(g, inst)}
 
 
 def test_first_hit_hand_simulation(fig5):
-    aug = augment(fig5)
-    hits = hits_by_node(aug, Instantiation({0: 1, 1: 1, 2: 1}))
+    hits = hits_by_node(fig5, Instantiation({0: 1, 1: 1, 2: 1}))
     assert hits == {0: 1, 1: 1, 2: 2}
 
 
 def test_first_hit_nothing_fires(fig5):
-    aug = augment(fig5)
-    hits = hits_by_node(aug, Instantiation({0: 0, 1: 0, 2: 0}))
+    hits = hits_by_node(fig5, Instantiation({0: 0, 1: 0, 2: 0}))
     assert hits == {0: None, 1: None, 2: None}
 
 
 def test_first_hit_single_leaf():
     g = AttackGraph([Node(0, NodeKind.LEAF, "", 0.5)], [])
-    assert hits_by_node(augment(g), Instantiation({0: 1})) == {0: 1}
+    assert hits_by_node(g, Instantiation({0: 1})) == {0: 1}
+
+
+def test_first_hit_rejects_mismatched_domain(fig5):
+    with pytest.raises(ValueError):
+        first_hit(fig5, Instantiation({0: 1}))
+
+
+def test_instantiation_at_follows_enumeration_order():
+    # bit j of the index drives the j-th fractional input; 0 and 1 stay pinned
+    probs = {0: 0.5, 1: 1.0, 2: 0.0, 3: 0.25}
+    g = AttackGraph([Node(v, NodeKind.LEAF, "", p) for v, p in probs.items()], [])
+    assert instantiation_at(g, 0).bits == {0: 0, 1: 1, 2: 0, 3: 0}
+    assert instantiation_at(g, 2).bits == {0: 0, 1: 1, 2: 0, 3: 1}
+    assert instantiation_at(g, 3).bits == {0: 1, 1: 1, 2: 0, 3: 1}
 
 
 def test_type1_fixture():
@@ -65,7 +77,7 @@ def test_type3_fixture_with_witness():
     assert node_j in cycle.node_set
     # replay the witness: the cycle node is on at tick k, one before the
     # target's first hit
-    hits = hits_by_node(augment(g), inst)
+    hits = hits_by_node(g, inst)
     assert hits[node_j] is not None and hits[node_j] <= k
     assert hits[3] == k + 1
 
@@ -153,13 +165,13 @@ def three_cycles():
 
 def count_engine_calls(monkeypatch):
     calls = []
-    engine = classify._evaluate
+    engine = circuit._evaluate
 
     def counted(c, cells):
         calls.append(cells.shape[1])
         return engine(c, cells)
 
-    monkeypatch.setattr(classify, "_evaluate", counted)
+    monkeypatch.setattr(circuit, "_evaluate", counted)
     return calls
 
 

@@ -282,12 +282,12 @@ def test_huge_sample_count_hits_the_limit_up_front(capsys):
 
 
 def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
-    from cybag import classify
+    from cybag import circuit
 
     calls = []
-    engine = classify._evaluate
+    engine = circuit._evaluate
     monkeypatch.setattr(
-        classify, "_evaluate", lambda c, cells: calls.append(1) or engine(c, cells)
+        circuit, "_evaluate", lambda c, cells: calls.append(1) or engine(c, cells)
     )
     doc = {
         "version": "1",
@@ -319,6 +319,25 @@ def test_non_utf8_input_is_a_data_error(argv, tmp_path, capsys):
     argv = [a.format(bin=binary, out=out) for a in argv]
     assert run(argv) == 2
     assert "error [" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in", "{deep}"],
+        ["convert", "--plain", "{deep}", "--out", "{out}"],
+        ["score", "--in", RUNNING, "--feed", "{deep}", "--out", "{out}"],
+    ],
+)
+def test_deeply_nested_json_is_a_data_error(argv, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    out = tmp_path / "out.json"
+    argv = [a.format(deep=deep, out=out) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [" in err and "Traceback" not in err
     assert not out.exists()
 
 

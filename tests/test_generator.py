@@ -1,6 +1,7 @@
 from collections import Counter
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,12 @@ from cybag.generator import (
 from cybag.graph import NodeKind, find_cycles, topological_order, validate
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
+
+
+def scc_coverage(edges):
+    """Reference: nodes inside a strongly connected component of size >= 2."""
+    comps = nx.strongly_connected_components(nx.DiGraph(list(edges)))
+    return {v for comp in comps if len(comp) >= 2 for v in comp}
 
 
 def kind_counts(graph):
@@ -53,6 +60,12 @@ def test_full_cyclicity_covers_every_or():
     for node in g.nodes:
         if node.kind is O:
             assert node.id in on_cycle
+
+
+def test_nodes_on_cycles_matches_scc_reference():
+    for c, seed in ((0, 1), (40, 2), (100, 3)):
+        g = generate(GenParams(n=300, cyclicity=c, seed=seed))
+        assert nodes_on_cycles(g) == scc_coverage(g.edges)
 
 
 def test_achieved_cyclicity_at_least_requested():
@@ -139,7 +152,7 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
         nonlocal bridges
         cover(self, x, y, ors)
         bridges += 1
-        assert self.covered == generator._on_cycles(self.edges) & ors
+        assert self.covered == scc_coverage(self.edges) & ors
 
     with mock.patch.object(generator._Builder, "cover", checked):
         try:
@@ -151,10 +164,11 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
 
 
 def test_generate_never_rebuilds_sccs(monkeypatch):
-    def rebuild(edges):
+    def rebuild(*args, **kwargs):
         raise AssertionError("generate recomputed strongly connected components")
 
-    monkeypatch.setattr(generator, "_on_cycles", rebuild)
+    for name in ("strongly_connected_components", "condensation"):
+        monkeypatch.setattr(nx, name, rebuild)
     g = generate(GenParams(n=1000, cyclicity=100, seed=0))
     monkeypatch.undo()
     assert cyclic_or_fraction(g) == 1.0

@@ -7,7 +7,6 @@ from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import AttackGraph, Node, NodeKind
 from cybag.propagate import (
-    _solve_node_reversed,
     conjunction,
     disjunction,
     solve_acyclic_closed_form,
@@ -123,6 +122,14 @@ def test_each_node_visited_at_most_once():
             assert visits <= n
 
 
+def reversed_ids(g):
+    """The same graph with ids relabelled top-down, so the recursion's
+    ascending parent order becomes the original's descending order."""
+    top = max(g.node_ids)
+    nodes = [Node(top - n.id, n.kind, n.label, n.local_prob) for n in g.nodes]
+    return AttackGraph(nodes, [(top - a, top - b) for a, b in g.edges]), top
+
+
 def test_parent_order_sensitivity_recorded_not_asserted(capsys):
     # The ascending parent order is a deliberate choice; on cyclic graphs
     # another order can legitimately give different values. Record the
@@ -131,10 +138,19 @@ def test_parent_order_sensitivity_recorded_not_asserted(capsys):
     checked = 0
     for seed in range(10):
         g = generate(GenParams(n=30, cyclicity=50, seed=seed))
+        rev, top = reversed_ids(g)
         for v in g.node_ids:
             checked += 1
-            if not math.isclose(
-                solve_node(g, v), _solve_node_reversed(g, v), abs_tol=1e-12
-            ):
+            if not math.isclose(solve_node(g, v), solve_node(rev, top - v), abs_tol=1e-12):
                 diverged += 1
     print(f"parent-order divergence: {diverged}/{checked} node solves")
+
+
+def test_parent_order_is_immaterial_on_loop_free_graphs(forest_builder):
+    # on a forest every ancestor is reached by one route, so the visited
+    # set never cuts a contribution and the order cannot matter
+    for seed in range(8):
+        g = forest_builder(seed + 70, 5 + 2 * seed)
+        rev, top = reversed_ids(g)
+        for v in g.node_ids:
+            assert solve_node(rev, top - v) == pytest.approx(solve_node(g, v), abs=1e-12)
