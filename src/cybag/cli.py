@@ -43,6 +43,13 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 1074:  # a double's fractional part has at most 1074 digits
+        raise argparse.ArgumentTypeError(f"must be >= 0 and <= 1074, got {value}")
+    return value
+
+
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
@@ -252,7 +259,7 @@ def build_parser() -> _Parser:
         p.add_argument(
             "--node", type=int, required=node_required, help="node id to query"
         )
-        p.add_argument("--precision", type=_non_negative, default=6)
+        p.add_argument("--precision", type=_precision, default=6)
         if with_format:
             p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 

@@ -128,6 +128,8 @@ def _read_document(path):
         raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno})", "$") from exc
     except RecursionError as exc:
         raise SchemaError("JSON nested too deeply", "$") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise SchemaError(f"not valid JSON: {exc}", "$") from exc
 
 
 def read_json(path) -> AttackGraph:

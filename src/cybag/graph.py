@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
-
-import networkx as nx
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
@@ -119,12 +117,6 @@ class AttackGraph:
     def without_edge(self, src: int, dst: int) -> "AttackGraph":
         return AttackGraph(self.nodes, tuple(e for e in self.edges if e != (src, dst)))
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.node_ids)
-        g.add_edges_from(self.edges)
-        return g
-
     @cached_property
     def dense(self) -> "DenseIndex":
         """Dense-index view shared by every engine; built on first use."""
@@ -161,16 +153,52 @@ class DenseIndex:
         condensation, as (ascending member rows, cyclic). A component is
         cyclic when it has two or more members or a self-edge. Computed on
         first use, so the recursive solver never pays for it."""
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(self.ids)))
-        g.add_edges_from((p, i) for i, ps in enumerate(self.parents) for p in ps)
-        cond = nx.condensation(g)
-        blocks = []
-        for k in nx.topological_sort(cond):
-            members = tuple(sorted(cond.nodes[k]["members"]))
-            cyclic = len(members) > 1 or members[0] in self.parents[members[0]]
-            blocks.append((members, cyclic))
-        return blocks
+        return _components(self.parents, range(len(self.ids)))
+
+
+def _components(
+    parents: list[tuple[int, ...]], rows: Sequence[int]
+) -> list[tuple[tuple[int, ...], bool]]:
+    """Strongly connected components of the subgraph induced by the
+    ascending ``rows``, as (ascending member rows, cyclic), by Tarjan's
+    algorithm (Tarjan 1972) run iteratively along parent rows. A component
+    is emitted after every component it reaches, its ancestors, so the
+    list is in topological order of the condensation."""
+    inside = set(rows)
+    done = len(rows)  # index of an emitted row: never lowers a low link
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    comps = []
+    for root in rows:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        frames = [(root, iter(parents[root]), len(stack))]
+        stack.append(root)
+        while frames:
+            v, todo, at = frames[-1]
+            for p in todo:
+                if p not in inside:
+                    continue
+                if p not in index:
+                    index[p] = low[p] = len(index)
+                    frames.append((p, iter(parents[p]), len(stack)))
+                    stack.append(p)
+                    break
+                low[v] = min(low[v], index[p])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = tuple(sorted(stack[at:]))
+                    del stack[at:]
+                    for m in members:
+                        index[m] = done
+                    comps.append((members, len(members) > 1 or v in parents[v]))
+    return comps
 
 
 @dataclass(frozen=True)
@@ -310,49 +338,68 @@ def validate(graph: AttackGraph) -> ValidationReport:
 
 
 def topological_order(graph: AttackGraph) -> list[int] | None:
-    """Kahn's algorithm with an ascending-id frontier; None if the graph is cyclic."""
-    import heapq
-
-    indeg = {v: 0 for v in graph.node_ids}
-    for _, dst in graph.edges:
-        indeg[dst] += 1
-    frontier = [v for v, d in indeg.items() if d == 0]
-    heapq.heapify(frontier)
-    order: list[int] = []
-    while frontier:
-        v = heapq.heappop(frontier)
-        order.append(v)
-        for c in graph.children[v]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                heapq.heappush(frontier, c)
-    if len(order) != len(graph.node_ids):
+    """Node ids in the condensation order of :attr:`DenseIndex.blocks`;
+    None if the graph is cyclic."""
+    d = graph.dense
+    if any(cyclic for _, cyclic in d.blocks):
         return None
-    return order
-
-
-def _canonical_cycle(cycle: list[int]) -> CyclePath:
-    pivot = cycle.index(min(cycle))
-    rotated = cycle[pivot:] + cycle[:pivot]
-    return CyclePath(tuple(rotated) + (rotated[0],))
+    return [d.ids[members[0]] for members, _ in d.blocks]
 
 
 def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[CyclePath]:
     """All simple directed cycles, each starting at its smallest node id.
 
-    The empty list is returned exactly when the graph is acyclic. Raises
-    :class:`CycleLimitError` (carrying the partial list) once more than
-    ``max_cycles`` cycles have been seen; cycle counts can be exponential
-    in graph size, so the cap is a hard safety net.
+    Johnson's blocked search (Johnson 1975) runs along parent rows from the
+    smallest row of each cyclic component; that row is then dropped and
+    the rest split again. The empty list is returned exactly when the
+    graph is acyclic. Raises :class:`CycleLimitError` (carrying the partial
+    list) once more than ``max_cycles`` cycles have been seen; cycle counts
+    can be exponential in graph size, so the cap is a hard safety net.
     """
+    d = graph.dense
     found: list[CyclePath] = []
-    for cycle in nx.simple_cycles(graph.to_networkx()):
-        if len(found) >= max_cycles:
-            err = CycleLimitError(
-                f"more than {max_cycles} simple cycles; enumeration stopped", found
-            )
-            raise err
-        found.append(_canonical_cycle(cycle))
+    work = [members for members, cyclic in d.blocks if cyclic]
+    while work:
+        members = work.pop()
+        start, inside = members[0], set(members)
+        path, blocked, closed = [start], {start}, [False]
+        waiting: dict[int, set[int]] = {}  # row -> rows to unblock with it
+        frames = [iter(d.parents[start])]
+        while frames:
+            for p in frames[-1]:
+                if p == start:
+                    if len(found) >= max_cycles:
+                        raise CycleLimitError(
+                            f"more than {max_cycles} simple cycles; enumeration stopped",
+                            found,
+                        )
+                    # the path runs against the edges: read backwards, it
+                    # closes the cycle from start back to start
+                    rows = (start, *reversed(path))
+                    found.append(CyclePath(tuple(d.ids[r] for r in rows)))
+                    closed[-1] = True
+                elif p in inside and p not in blocked:
+                    path.append(p)
+                    blocked.add(p)
+                    frames.append(iter(d.parents[p]))
+                    closed.append(False)
+                    break
+            else:
+                frames.pop()
+                v = path.pop()
+                if closed.pop():
+                    todo = {v}
+                    while todo:
+                        u = todo.pop()
+                        blocked.discard(u)
+                        todo |= waiting.pop(u, set()) & blocked
+                    if closed:
+                        closed[-1] = True
+                else:
+                    for p in d.parents[v]:
+                        if p in inside:
+                            waiting.setdefault(p, set()).add(v)
+        work += (rest for rest, cyclic in _components(d.parents, members[1:]) if cyclic)
     found.sort(key=lambda c: (len(c.nodes), c.nodes))
     return found
 

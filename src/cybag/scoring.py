@@ -112,6 +112,8 @@ def import_feed(path) -> list[CveRecord]:
         raise ParseError(f"feed is not valid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError as exc:
         raise ParseError("feed JSON is nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ParseError(f"feed is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError("feed must be a JSON array of records")
 

@@ -268,6 +268,7 @@ def test_limit_exit_code(tmp_path, capsys):
         ["circuit", "--in", DIAMOND, "--node", "3", "--mc", "10", "--seed", "-1"],
         ["solve", "--in", FIG5, "--precision", "-1"],
         ["compare", "--in", DIAMOND, "--node", "3", "--precision", "-2"],
+        ["solve", "--in", FIG5, "--precision", "1075"],
     ],
 )
 def test_negative_counts_are_usage_errors(argv, capsys):
@@ -328,13 +329,18 @@ def test_non_utf8_input_is_a_data_error(argv, tmp_path, capsys):
         ["solve", "--in", "{deep}"],
         ["convert", "--plain", "{deep}", "--out", "{out}"],
         ["score", "--in", RUNNING, "--feed", "{deep}", "--out", "{out}"],
+        ["solve", "--in", "{big}"],
+        ["convert", "--plain", "{big}", "--out", "{out}"],
+        ["score", "--in", RUNNING, "--feed", "{big}", "--out", "{out}"],
     ],
 )
 def test_deeply_nested_json_is_a_data_error(argv, tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000)
+    big = tmp_path / "big.json"
+    big.write_text("[" + "9" * 5000 + "]")  # past Python's integer digit limit
     out = tmp_path / "out.json"
-    argv = [a.format(deep=deep, out=out) for a in argv]
+    argv = [a.format(deep=deep, big=big, out=out) for a in argv]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error [" in err and "Traceback" not in err

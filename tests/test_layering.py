@@ -1,11 +1,15 @@
 """Module boundaries inside the package, checked on the source text.
 
 Each engine decision has one owner: modules talk to each other through
-public names only, and only ``graph.py`` builds networkx graphs (cycle
-enumeration and the strongly connected components of the dense index).
+public names only. ``graph.py`` owns the graph algorithms (components and
+cycle enumeration) itself, so no module imports networkx, which the tests
+keep only as a reference oracle.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cybag"
@@ -37,11 +41,23 @@ def test_no_private_names_cross_modules():
     assert leaks == []
 
 
-def test_only_graph_imports_networkx():
+def test_no_module_imports_networkx():
     users = sorted(
         path.name
         for path in MODULES
         for level, module, _ in imports(path)
         if level == 0 and module.split(".")[0] == "networkx"
     )
-    assert users == ["graph.py"]
+    assert users == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, cybag.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "False\n"
