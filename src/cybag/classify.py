@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import Instantiation, enumerate_first_hits, first_hit_ticks, instantiation_at
 from .errors import TargetRequiredError, UnknownNodeError
-from .graph import AttackGraph, CyclePath, find_cycles
+from .graph import DEFAULT_MAX_CYCLES, AttackGraph, CyclePath, find_cycles
 
 CLASSIFY_ENUM_LIMIT = 20
 
@@ -80,16 +80,16 @@ def classify_cycles(
     target's first hit. Without a target, a cycle that can fire cannot be
     split into Type 2 or 3 and its report has ``cycle_type`` None.
     """
+    index = graph.dense.index
+    if target is not None and target not in index:
+        raise UnknownNodeError(f"target {target} is not in the graph")
     if not cycles:
         return []
-    index = graph.dense.index
     cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
     for ids in cycle_ids:
         for v in ids:
             if v not in index:
                 raise UnknownNodeError(f"cycle node {v} is not in the graph")
-    if target is not None and target not in index:
-        raise UnknownNodeError(f"target {target} is not in the graph")
 
     cycle_rows = [[index[v] for v in ids] for ids in cycle_ids]
     on_cycles = sorted({i for rows in cycle_rows for i in rows})
@@ -153,7 +153,7 @@ def classify_cycle(
 
 
 def classify_all(
-    graph: AttackGraph, target: int, max_cycles: int = 10_000
+    graph: AttackGraph, target: int, max_cycles: int = DEFAULT_MAX_CYCLES
 ) -> list[CycleReport]:
     """Find every simple cycle and classify each against the target."""
     return classify_cycles(graph, find_cycles(graph, max_cycles), target)

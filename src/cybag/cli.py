@@ -19,7 +19,7 @@ from .errors import (
     TooLargeError,
     WidthLimitError,
 )
-from .graph import AttackGraph, convert_plain, find_cycles, validate
+from .graph import DEFAULT_MAX_CYCLES, AttackGraph, convert_plain, find_cycles, validate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,8 +65,7 @@ def _load_graph(path) -> AttackGraph:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        formats.write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -287,7 +286,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cycles", help="find and classify simple cycles")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--max", type=_non_negative, default=10_000)
+    p.add_argument("--max", type=_non_negative, default=DEFAULT_MAX_CYCLES)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=_cmd_cycles)
 
@@ -340,9 +339,6 @@ def run(argv: list[str]) -> int:
         return EXIT_LIMIT
     except CybagError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error [IO_ERROR]: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

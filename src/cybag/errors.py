@@ -81,7 +81,7 @@ class IoError(CybagError):
 
 
 class SchemaError(CybagError):
-    """A document violates the graph JSON schema. ``path`` locates the element."""
+    """Well-formed JSON that breaks a document schema. ``path`` locates the element."""
 
     code = "SCHEMA_ERROR"
 
@@ -91,7 +91,7 @@ class SchemaError(CybagError):
 
 
 class ParseError(CybagError):
-    """A text input could not be parsed. ``line`` is 1-based when known."""
+    """Bytes that are not UTF-8 text, JSON or the expected CSV rows; ``line`` is 1-based."""
 
     code = "PARSE_ERROR"
 

@@ -1,5 +1,12 @@
 """Serialization: canonical JSON graphs, MulVAL-style CSV import, DOT export.
 
+This module is the package's only file boundary. :func:`read_text`,
+:func:`load_json` and :func:`write_text` map every failure to a package
+error: an unreadable or unwritable file is an ``IoError``, bytes that are
+not UTF-8 text or not JSON/CSV a ``ParseError``, and input past
+``INPUT_LIMIT_BYTES`` a ``TooLargeError``. One set of element rules
+decides what a valid id, edge and probability is for every reader.
+
 The JSON document is ``{"version": "1", "notes": optional text, "nodes":
 [{"id", "kind", "label", "p"}], "edges": [[src, dst], ...]}``. Nodes and
 edges are written in ascending order and probabilities as shortest
@@ -14,28 +21,98 @@ A companion document for bipartite exploit/condition graphs (used by the
 from __future__ import annotations
 
 import csv
+import io
 import json
 from importlib import resources
 from typing import Mapping
 
-from .errors import IoError, ParseError, SchemaError
+from .errors import IoError, ParseError, SchemaError, TooLargeError
 from .graph import AttackGraph, Node, NodeKind, PlainBag
 
 FORMAT_VERSION = "1"
+INPUT_LIMIT_BYTES = 64 * 1024 * 1024
 
 _KIND_NAMES = {NodeKind.LEAF: "leaf", NodeKind.AND: "and", NodeKind.OR: "or"}
 _KINDS_BY_NAME = {v: k for k, v in _KIND_NAMES.items()}
 
 
-def _parse_prob(raw, path: str) -> float:
+def read_text(path) -> str:
+    """A file's UTF-8 text; reading stops past ``INPUT_LIMIT_BYTES``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(INPUT_LIMIT_BYTES + 1)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if len(data) > INPUT_LIMIT_BYTES:
+        raise TooLargeError(f"{path} is larger than {INPUT_LIMIT_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def load_json(path):
+    """A file's decoded JSON value; anything that is not JSON is a ParseError."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON in {path}: {exc.msg}", exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or past the digit limit
+        raise ParseError(f"not valid JSON in {path}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text with LF line endings."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _fail(where, message: str) -> Exception:
+    """The reader's error: SchemaError at a JSON path, ParseError at a CSV line."""
+    if isinstance(where, str):
+        return SchemaError(message, where)
+    return ParseError(message, where)
+
+
+def _parse_id(raw, where, ids: set[int]) -> int:
+    """A node id not seen before: a non-negative integer, added to ``ids``."""
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
+        raise _fail(where, "id must be a non-negative integer")
+    if raw in ids:
+        raise _fail(where, f"duplicate node id {raw}")
+    ids.add(raw)
+    return raw
+
+
+def _parse_edge(raw, where, ids: set[int], seen: set) -> tuple[int, int]:
+    """An edge between two distinct known nodes, not seen before; added to ``seen``."""
+    if not (isinstance(raw, list) and len(raw) == 2) or any(
+        isinstance(x, bool) or not isinstance(x, int) for x in raw
+    ):
+        raise _fail(where, "edge must be a [src, dst] integer pair")
+    src, dst = raw
+    if src not in ids or dst not in ids:
+        raise _fail(where, f"edge [{src}, {dst}] references an unknown node")
+    if src == dst:
+        raise _fail(where, f"self-edge on node {src}")
+    if (src, dst) in seen:
+        raise _fail(where, f"duplicate edge [{src}, {dst}]")
+    seen.add((src, dst))
+    return src, dst
+
+
+def _parse_prob(raw, where) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-        raise SchemaError("probability must be a number or decimal string", path)
+        raise _fail(where, "probability must be a number or decimal string")
     try:
         value = float(raw)
-    except ValueError:
-        raise SchemaError(f"not a probability: {raw!r}", path) from None
+    except (ValueError, OverflowError):
+        raise _fail(where, f"not a probability: {raw!r}") from None
     if not 0.0 <= value <= 1.0:
-        raise SchemaError(f"probability {value} outside [0, 1]", path)
+        raise _fail(where, f"probability {value} outside [0, 1]")
     return abs(value)  # "-0" parses to -0.0, which would print as -0.000000
 
 
@@ -56,43 +133,19 @@ def document_to_graph(doc) -> AttackGraph:
         where = f"nodes[{i}]"
         if not isinstance(item, dict):
             raise SchemaError("node must be an object", where)
-        nid = item.get("id")
-        if not isinstance(nid, int) or isinstance(nid, bool) or nid < 0:
-            raise SchemaError("id must be a non-negative integer", f"{where}.id")
-        if nid in ids:
-            raise SchemaError(f"duplicate node id {nid}", f"{where}.id")
-        ids.add(nid)
-        kind = _KINDS_BY_NAME.get(item.get("kind"))
+        nid = _parse_id(item.get("id"), f"{where}.id", ids)
+        raw_kind = item.get("kind")
+        kind = _KINDS_BY_NAME.get(raw_kind) if isinstance(raw_kind, str) else None
         if kind is None:
-            raise SchemaError(
-                f"kind must be one of leaf/and/or, got {item.get('kind')!r}",
-                f"{where}.kind",
-            )
+            raise SchemaError(f"kind must be leaf/and/or, got {raw_kind!r}", f"{where}.kind")
         label = item.get("label", "")
         if not isinstance(label, str):
             raise SchemaError("label must be a string", f"{where}.label")
         prob = _parse_prob(item.get("p", "1"), f"{where}.p")
         nodes.append(Node(nid, kind, label, prob))
 
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for i, item in enumerate(doc["edges"]):
-        where = f"edges[{i}]"
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
-        ):
-            raise SchemaError("edge must be a [src, dst] integer pair", where)
-        src, dst = item
-        if src not in ids or dst not in ids:
-            raise SchemaError(f"edge [{src}, {dst}] references an unknown node", where)
-        if src == dst:
-            raise SchemaError(f"self-edge on node {src}", where)
-        if (src, dst) in seen:
-            raise SchemaError(f"duplicate edge [{src}, {dst}]", where)
-        seen.add((src, dst))
-        edges.append((src, dst))
+    edges = [_parse_edge(e, f"edges[{i}]", ids, seen) for i, e in enumerate(doc["edges"])]
     return AttackGraph(nodes, edges)
 
 
@@ -113,72 +166,42 @@ def graph_to_document(graph: AttackGraph, notes: str | None = None) -> dict:
     return doc
 
 
-def _read_document(path):
-    """Parse a JSON file; bytes that are not UTF-8 or not JSON are schema errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not UTF-8 text: {exc.reason}", "$") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc.msg} (line {exc.lineno})", "$") from exc
-    except RecursionError as exc:
-        raise SchemaError("JSON nested too deeply", "$") from exc
-    except ValueError as exc:  # an integer literal past the digit limit
-        raise SchemaError(f"not valid JSON: {exc}", "$") from exc
-
-
 def read_json(path) -> AttackGraph:
-    return document_to_graph(_read_document(path))
+    return document_to_graph(load_json(path))
 
 
 def write_json(graph: AttackGraph, path, notes: str | None = None) -> None:
     payload = json.dumps(graph_to_document(graph, notes), indent=2, ensure_ascii=False)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, payload + "\n")
 
 
 def plain_document_to_bag(doc) -> PlainBag:
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object", "$")
     score: dict[int, float] = {}
+    ids: set[int] = set()
 
     def read_side(key: str) -> set[int]:
         items = doc.get(key)
         if not isinstance(items, list):
             raise SchemaError(f"{key} must be a list", key)
-        out: set[int] = set()
         for i, item in enumerate(items):
             where = f"{key}[{i}]"
-            if not isinstance(item, dict) or not isinstance(item.get("id"), int):
-                raise SchemaError("entry must be an object with an integer id", where)
-            nid = item["id"]
-            if nid in score:
-                raise SchemaError(f"duplicate id {nid}", f"{where}.id")
+            if not isinstance(item, dict):
+                raise SchemaError("entry must be an object", where)
+            nid = _parse_id(item.get("id"), f"{where}.id", ids)
             score[nid] = _parse_prob(item.get("p", "1"), f"{where}.p")
-            out.add(nid)
-        return out
+        return {item["id"] for item in items}
 
     exploits = read_side("exploits")
     conditions = read_side("conditions")
+    seen: set[tuple[int, int]] = set()
 
     def read_edges(key: str) -> list[tuple[int, int]]:
         items = doc.get(key, [])
         if not isinstance(items, list):
             raise SchemaError(f"{key} must be a list", key)
-        out = []
-        for i, item in enumerate(items):
-            if not isinstance(item, list) or len(item) != 2:
-                raise SchemaError("edge must be a [src, dst] pair", f"{key}[{i}]")
-            out.append((item[0], item[1]))
-        return out
+        return [_parse_edge(item, f"{key}[{i}]", ids, seen) for i, item in enumerate(items)]
 
     try:
         return PlainBag(
@@ -193,10 +216,29 @@ def plain_document_to_bag(doc) -> PlainBag:
 
 
 def read_plain_json(path) -> PlainBag:
-    return plain_document_to_bag(_read_document(path))
+    return plain_document_to_bag(load_json(path))
 
 
 _MULVAL_KINDS = {"LEAF": NodeKind.LEAF, "AND": NodeKind.AND, "OR": NodeKind.OR}
+
+
+def _csv_rows(path):
+    """Numbered non-empty rows of a CSV file."""
+    rows = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for row in rows:
+            if row:
+                yield rows.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"not valid CSV in {path}: {exc}", rows.line_num) from exc
+
+
+def _csv_int(field: str):
+    """A CSV field as an int when it spells one; other text fails the id rules."""
+    try:
+        return int(field)
+    except ValueError:
+        return field
 
 
 def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
@@ -207,57 +249,21 @@ def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
     """
     nodes: list[Node] = []
     ids: set[int] = set()
-    try:
-        with open(vertices_path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ParseError(
-                        f"expected 4 fields id,label,kind,p, got {len(row)}", lineno
-                    )
-                raw_id, label, raw_kind, raw_p = row
-                try:
-                    nid = int(raw_id)
-                except ValueError:
-                    raise ParseError(f"bad node id {raw_id!r}", lineno) from None
-                kind = _MULVAL_KINDS.get(raw_kind.strip())
-                if kind is None:
-                    raise ParseError(f"unknown node kind {raw_kind!r}", lineno)
-                try:
-                    prob = float(raw_p)
-                except ValueError:
-                    raise ParseError(f"bad probability {raw_p!r}", lineno) from None
-                if not 0.0 <= prob <= 1.0:
-                    raise ParseError(f"probability {prob} outside [0, 1]", lineno)
-                if nid in ids:
-                    raise ParseError(f"duplicate node id {nid}", lineno)
-                ids.add(nid)
-                nodes.append(Node(nid, kind, label, abs(prob)))  # "-0" -> 0.0
-    except OSError as exc:
-        raise IoError(f"cannot read {vertices_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{vertices_path} is not UTF-8 text: {exc.reason}") from exc
+    for lineno, row in _csv_rows(vertices_path):
+        if len(row) != 4:
+            raise ParseError(f"expected 4 fields id,label,kind,p, got {len(row)}", lineno)
+        raw_id, label, raw_kind, raw_p = row
+        nid = _parse_id(_csv_int(raw_id), lineno, ids)
+        kind = _MULVAL_KINDS.get(raw_kind.strip())
+        if kind is None:
+            raise ParseError(f"unknown node kind {raw_kind!r}", lineno)
+        nodes.append(Node(nid, kind, label, _parse_prob(raw_p, lineno)))
 
-    edges: list[tuple[int, int]] = []
-    try:
-        with open(arcs_path, "r", encoding="utf-8", newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"expected 2 fields src,dst, got {len(row)}", lineno)
-                try:
-                    src, dst = int(row[0]), int(row[1])
-                except ValueError:
-                    raise ParseError(f"bad arc {row!r}", lineno) from None
-                if src not in ids or dst not in ids:
-                    raise ParseError(f"arc ({src}, {dst}) references unknown node", lineno)
-                edges.append((src, dst))
-    except OSError as exc:
-        raise IoError(f"cannot read {arcs_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{arcs_path} is not UTF-8 text: {exc.reason}") from exc
+    seen: set[tuple[int, int]] = set()
+    edges = [
+        _parse_edge([_csv_int(x) for x in row], lineno, ids, seen)
+        for lineno, row in _csv_rows(arcs_path)
+    ]
     return AttackGraph(nodes, edges)
 
 
@@ -284,11 +290,7 @@ def write_dot(
     for src, dst in graph.edges:
         lines.append(f"  n{src} -> n{dst};")
     lines.append("}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def fixture_path(name: str):

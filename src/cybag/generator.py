@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InfeasibleError
+from .formats import write_text
 from .graph import AttackGraph, Node, NodeKind
 from .propagate import solve_all
 
@@ -283,5 +284,4 @@ def write_bench_csv(rows: Iterable[BenchRow], path) -> None:
             f"{row.n},{row.cyclicity:g},{row.replicate},"
             f"{row.wall_time_seconds:.6f},{row.nodes_in_cycles}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

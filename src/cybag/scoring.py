@@ -9,14 +9,14 @@ records by the CVE ids embedded in their labels.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import IoError, ParseError
+from .errors import ParseError
+from .formats import load_json
 from .graph import AttackGraph, NodeKind
 
 log = logging.getLogger(__name__)
@@ -99,21 +99,7 @@ def import_feed(path) -> list[CveRecord]:
 
     Later duplicates of a CVE id win, with a warning.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read feed {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"feed is not UTF-8 text: {exc.reason}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"feed is not valid JSON: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:
-        raise ParseError("feed JSON is nested too deeply") from exc
-    except ValueError as exc:  # an integer literal past the digit limit
-        raise ParseError(f"feed is not valid JSON: {exc}") from exc
+    data = load_json(path)
     if not isinstance(data, list):
         raise ParseError("feed must be a JSON array of records")
 

@@ -103,6 +103,13 @@ def test_cycles_without_target(capsys):
     assert capsys.readouterr().out.splitlines()[0].split("\t")[1] == "needs-target"
 
 
+def test_cycles_unknown_target_without_cycles(capsys):
+    assert run(["cycles", "--in", DIAMOND, "--target", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UNKNOWN_NODE" in captured.err
+
+
 def test_cycles_json(capsys):
     assert run(["cycles", "--in", RUNNING, "--target", "14", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -345,6 +352,38 @@ def test_deeply_nested_json_is_a_data_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error [" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def plain_doc(spare_id=3, require_src=0):
+    return {
+        "version": "1",
+        "exploits": [{"id": 4, "p": "0.5"}],
+        "conditions": [{"id": 0}, {"id": 2}, {"id": spare_id}],
+        "require_edges": [[require_src, 4]],
+        "imply_edges": [[4, 2]],
+    }
+
+
+@pytest.mark.parametrize("bad", [None, 0.7, True, -1])
+@pytest.mark.parametrize("field", ["spare_id", "require_src"])
+def test_convert_rejects_bad_plain_ids(field, bad, tmp_path, capsys):
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(plain_doc(**{field: bad})))
+    out = tmp_path / "out.json"
+    assert run(["convert", "--plain", str(plain), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [SCHEMA_ERROR]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_input_past_the_byte_ceiling_is_a_limit(monkeypatch, capsys):
+    from cybag import formats
+
+    monkeypatch.setattr(formats, "INPUT_LIMIT_BYTES", 64)
+    assert run(["solve", "--in", FIG5]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "TOO_LARGE" in captured.err
 
 
 def test_negative_zero_probability_prints_as_zero(tmp_path, capsys):

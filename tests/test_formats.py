@@ -133,6 +133,33 @@ def test_schema_error_bad_probability(tmp_path):
         read_json(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "node, path",
+    [
+        ({"id": 0, "kind": ["leaf"]}, "nodes[0].kind"),
+        ({"id": 0, "kind": "leaf", "p": 10**400}, "nodes[0].p"),
+        ({"id": 0.0, "kind": "leaf"}, "nodes[0].id"),
+    ],
+)
+def test_schema_error_for_mistyped_values(node, path, tmp_path):
+    with pytest.raises(SchemaError) as exc:
+        read_json(write_doc(tmp_path, make_doc(nodes=[node], edges=[])))
+    assert exc.value.path == path
+
+
+def test_plain_duplicate_edge_is_a_schema_error(tmp_path):
+    path = tmp_path / "p.json"
+    doc = {
+        "exploits": [{"id": 1}],
+        "conditions": [{"id": 0}],
+        "require_edges": [[0, 1], [0, 1]],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as exc:
+        read_plain_json(path)
+    assert exc.value.path == "require_edges[1]"
+
+
 def test_read_json_missing_file(tmp_path):
     with pytest.raises(IoError):
         read_json(tmp_path / "nope.json")
@@ -141,7 +168,7 @@ def test_read_json_missing_file(tmp_path):
 def test_read_json_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError):
         read_json(path)
 
 
@@ -197,6 +224,27 @@ def test_read_mulval_csv_negative_zero(tmp_path):
     arcs = tmp_path / "a.csv"
     arcs.write_text("")
     assert math.copysign(1.0, read_mulval_csv(vertices, arcs).local_prob(0)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "vertex_lines, arc_lines, line",
+    [
+        ('-1,"x",LEAF,1.0\n', "", 1),
+        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n1,1\n", 2),
+        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n0,1\n", 2),
+        ('0,"x",LEAF,1.0\n0,"y",OR,1.0\n', "", 2),
+        ('0,"' + "x" * 200_000 + '",LEAF,1.0\n', "", 1),
+    ],
+    ids=["negative-id", "self-arc", "duplicate-arc", "duplicate-id", "huge-field"],
+)
+def test_read_mulval_csv_rejects_bad_elements(vertex_lines, arc_lines, line, tmp_path):
+    vertices = tmp_path / "v.csv"
+    vertices.write_text(vertex_lines)
+    arcs = tmp_path / "a.csv"
+    arcs.write_text(arc_lines)
+    with pytest.raises(ParseError) as exc:
+        read_mulval_csv(vertices, arcs)
+    assert exc.value.line == line
 
 
 @pytest.mark.parametrize("bad", ["vertices", "arcs"])

@@ -3,7 +3,8 @@
 Each engine decision has one owner: modules talk to each other through
 public names only. ``graph.py`` owns the graph algorithms (components and
 cycle enumeration) itself, so no module imports networkx, which the tests
-keep only as a reference oracle.
+keep only as a reference oracle. ``formats.py`` is the one file boundary:
+no other module opens a file.
 """
 
 import ast
@@ -49,6 +50,20 @@ def test_no_module_imports_networkx():
         if level == 0 and module.split(".")[0] == "networkx"
     )
     assert users == []
+
+
+def test_only_formats_opens_files():
+    openers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "open")
+        )
+    }
+    assert openers == {"formats.py"}
 
 
 def test_cli_import_leaves_networkx_unloaded():
