@@ -17,24 +17,22 @@ from cybag import (
     reachability_exact,
     reachability_mc,
     solve_node,
-    to_bayes_net,
 )
 
 g = load_fixture("fig5.json")
-bn = to_bayes_net(g)
 
 # Three independent routes to the same number.
 print("recursive solver:", solve_node(g, 2))
-print("variable elimination:", eliminate(bn, 2))
-print("joint enumeration:", brute_force_marginal(bn, 2))
+print("variable elimination:", eliminate(g, 2))
+print("joint enumeration:", brute_force_marginal(g, 2))
 print("circuit reachability:", reachability_exact(g, 2).probability)
-print("elimination order used:", elimination_order(bn, 2))
+print("elimination order used:", elimination_order(g, 2))
 
 # The diamond shows the independence approximation at work: both routes
 # depend on the same fact, the product formula counts it twice.
 diamond = load_fixture("diamond.json")
-print("\ndiamond, recursive:", solve_node(diamond, 3))        # 0.75
-print("diamond, exact:", eliminate(to_bayes_net(diamond), 3))  # 0.50
+print("\ndiamond, recursive:", solve_node(diamond, 3))  # 0.75
+print("diamond, exact:", eliminate(diamond, 3))         # 0.50
 
 # The circuit view: one primed input per node carries the probability;
 # gates are deterministic. Iterate from all-zero until nothing changes.

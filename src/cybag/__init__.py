@@ -9,15 +9,7 @@ generator with controllable cyclicity, CVSS-based scoring, and JSON/CSV/
 DOT serialization.
 """
 
-from .bayes import (
-    BayesNet,
-    Cpt,
-    Factor,
-    brute_force_marginal,
-    elimination_order,
-    eliminate,
-    to_bayes_net,
-)
+from .bayes import Factor, brute_force_marginal, elimination_order, eliminate, node_factor
 from .circuit import (
     CircuitState,
     Instantiation,

@@ -1,10 +1,13 @@
-"""Exact inference oracle: attack graph -> Bayesian network -> marginals.
+"""Exact inference oracle: marginals of an acyclic attack graph.
 
-An acyclic attack graph translates node-for-node into a Boolean Bayesian
-network whose conditional tables are deterministic gates softened by the
-local probability: a leaf is true with its local probability, an And node
-is true with probability p only when all parents are true, an Or node is
-true with probability p when at least one parent is true.
+An acyclic attack graph is a Boolean Bayesian network, node for node, so
+the network is read off the graph itself: there is no translation step.
+Each node's conditional table (:func:`node_factor`) is a deterministic
+gate softened by the local probability: a leaf is true with its local
+probability, an And node is true with probability p only when all
+parents are true, an Or node is true with probability p when at least
+one parent is true. Cyclic graphs are not Bayesian networks and raise
+:class:`GraphCyclicError`.
 
 :func:`eliminate` computes exact marginals by sum-product variable
 elimination over dense numpy factors, and :func:`brute_force_marginal`
@@ -19,18 +22,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadOrderError,
-    GraphCyclicError,
-    TooLargeError,
-    UnknownNodeError,
-    WidthLimitError,
-)
-from .graph import AttackGraph, NodeKind, topological_order
+from .errors import BadOrderError, GraphCyclicError, TooLargeError, WidthLimitError
+from .graph import KIND_AND, KIND_LEAF, AttackGraph, NodeKind
 
 WIDTH_LIMIT = 20
 BRUTE_FORCE_LIMIT = 24
@@ -68,70 +65,50 @@ class Factor:
         )
 
 
-@dataclass(frozen=True)
-class Cpt:
-    """Conditional table for one variable, kept procedural until needed.
+def node_factor(graph: AttackGraph, v: int) -> Factor:
+    """Conditional table of node ``v`` given its parents, as a factor.
 
-    Wide gates (many parents) stay symbolic; :meth:`to_factor` refuses to
-    materialize more than ``WIDTH_LIMIT`` parent axes.
+    Wide gates stay symbolic: a table over more than ``WIDTH_LIMIT``
+    parent axes is refused with :class:`WidthLimitError`.
     """
-
-    var: int
-    parents: tuple[int, ...]
-    kind: NodeKind
-    prob: float
-
-    def to_factor(self) -> Factor:
-        k = len(self.parents)
-        if k > WIDTH_LIMIT:
-            raise WidthLimitError(
-                f"node {self.var} has {k} parents; tables wider than "
-                f"{WIDTH_LIMIT} are not materialized"
-            )
-        if self.kind is NodeKind.AND:
-            p1 = np.zeros((2,) * k)
-            p1[(1,) * k] = self.prob
-        elif self.kind is NodeKind.OR:
-            p1 = np.full((2,) * k, self.prob)
-            p1[(0,) * k] = 0.0
-        else:
-            p1 = np.array(self.prob)
-        scope = tuple(sorted(self.parents + (self.var,)))
-        var_axis = bisect_left(self.parents, self.var)
-        table = np.stack([1.0 - p1, p1], axis=var_axis)
-        return Factor(scope, table)
+    node = graph.nodes[graph.dense.row(v)]
+    parents = graph.parents[v]
+    k = len(parents)
+    if k > WIDTH_LIMIT:
+        raise WidthLimitError(
+            f"node {v} has {k} parents; tables wider than "
+            f"{WIDTH_LIMIT} are not materialized"
+        )
+    if node.kind is NodeKind.AND:
+        p1 = np.zeros((2,) * k)
+        p1[(1,) * k] = node.local_prob
+    elif node.kind is NodeKind.OR:
+        p1 = np.full((2,) * k, node.local_prob)
+        p1[(0,) * k] = 0.0
+    else:
+        p1 = np.array(node.local_prob)
+    scope = tuple(sorted(parents + (v,)))
+    table = np.stack([1.0 - p1, p1], axis=bisect_left(parents, v))
+    return Factor(scope, table)
 
 
-@dataclass(frozen=True)
-class BayesNet:
-    variables: tuple[int, ...]
-    cpts: Mapping[int, Cpt]
-
-
-def to_bayes_net(graph: AttackGraph) -> BayesNet:
-    """Translate an acyclic attack graph into its Bayesian network."""
-    if topological_order(graph) is None:
+def _require_acyclic(graph: AttackGraph) -> None:
+    if any(cyclic for _, cyclic in graph.dense.blocks):
         raise GraphCyclicError("only acyclic graphs translate to a Bayesian network")
-    cpts = {
-        n.id: Cpt(n.id, graph.parents[n.id], n.kind, n.local_prob)
-        for n in graph.nodes
-    }
-    return BayesNet(tuple(graph.node_ids), cpts)
 
 
-def elimination_order(bn: BayesNet, query: int) -> list[int]:
+def elimination_order(graph: AttackGraph, query: int) -> list[int]:
     """Greedy min-degree order over the moralized graph, smallest id first."""
-    if query not in bn.cpts:
-        raise UnknownNodeError(f"query variable {query} is not in the network")
-    adj: dict[int, set[int]] = {v: set() for v in bn.variables}
-    for cpt in bn.cpts.values():
-        clique = cpt.parents + (cpt.var,)
+    graph.dense.row(query)
+    adj: dict[int, set[int]] = {v: set() for v in graph.node_ids}
+    for v, parents in graph.parents.items():
+        clique = parents + (v,)
         for a in clique:
             for b in clique:
                 if a != b:
                     adj[a].add(b)
     order: list[int] = []
-    remaining = set(bn.variables) - {query}
+    remaining = set(graph.node_ids) - {query}
     while remaining:
         v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
         order.append(v)
@@ -143,7 +120,7 @@ def elimination_order(bn: BayesNet, query: int) -> list[int]:
 
 
 def eliminate(
-    bn: BayesNet, query: int, order: Sequence[int] | None = None
+    graph: AttackGraph, query: int, order: Sequence[int] | None = None
 ) -> float:
     """Exact marginal P(query = 1) by sum-product variable elimination.
 
@@ -151,18 +128,18 @@ def eliminate(
     permutation of the remaining variables or :class:`BadOrderError` is
     raised.
     """
-    if query not in bn.cpts:
-        raise UnknownNodeError(f"query variable {query} is not in the network")
+    _require_acyclic(graph)
+    graph.dense.row(query)
     if order is None:
-        order = elimination_order(bn, query)
+        order = elimination_order(graph, query)
     else:
         order = list(order)
-        if sorted(order) != sorted(set(bn.variables) - {query}):
+        if sorted(order) != sorted(set(graph.node_ids) - {query}):
             raise BadOrderError(
                 "order must be a permutation of the non-query variables"
             )
 
-    factors = [bn.cpts[v].to_factor() for v in bn.variables]
+    factors = [node_factor(graph, v) for v in graph.node_ids]
     for var in order:
         involved = [f for f in factors if var in f.scope]
         if not involved:
@@ -180,38 +157,37 @@ def eliminate(
     return float(table[1]) / total
 
 
-def brute_force_marginal(bn: BayesNet, query: int) -> float:
+def brute_force_marginal(graph: AttackGraph, query: int) -> float:
     """P(query = 1) by enumerating every joint assignment.
 
     Wholly independent of the elimination machinery; limited to
     ``BRUTE_FORCE_LIMIT`` variables.
     """
-    if query not in bn.cpts:
-        raise UnknownNodeError(f"query variable {query} is not in the network")
-    n = len(bn.variables)
+    _require_acyclic(graph)
+    d = graph.dense
+    target = d.row(query)
+    n = len(d.ids)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLargeError(
             f"{n} variables exceed the {BRUTE_FORCE_LIMIT}-variable enumeration limit"
         )
     m = 1 << n
-    pos = {v: i for i, v in enumerate(bn.variables)}
     idx = np.arange(m, dtype=np.int64)
-    bits = {v: ((idx >> pos[v]) & 1).astype(bool) for v in bn.variables}
+    bits = [((idx >> i) & 1).astype(bool) for i in range(n)]
 
     joint = np.ones(m)
-    for v in bn.variables:
-        cpt = bn.cpts[v]
-        if cpt.kind is NodeKind.LEAF:
-            p1 = np.array(cpt.prob)
-        elif cpt.kind is NodeKind.AND:
+    for i, (kind, prob, parents) in enumerate(zip(d.kinds, d.probs, d.parents)):
+        if kind == KIND_LEAF:
+            p1 = np.array(prob)
+        elif kind == KIND_AND:
             gate = np.ones(m, dtype=bool)
-            for p in cpt.parents:
+            for p in parents:
                 gate &= bits[p]
-            p1 = np.where(gate, cpt.prob, 0.0)
+            p1 = np.where(gate, prob, 0.0)
         else:
             gate = np.zeros(m, dtype=bool)
-            for p in cpt.parents:
+            for p in parents:
                 gate |= bits[p]
-            p1 = np.where(gate, cpt.prob, 0.0)
-        joint *= np.where(bits[v], p1, 1.0 - p1)
-    return math.fsum(joint[bits[query]].tolist())
+            p1 = np.where(gate, prob, 0.0)
+        joint *= np.where(bits[i], p1, 1.0 - p1)
+    return math.fsum(joint[bits[target]].tolist())

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import Instantiation, enumerate_first_hits, first_hit_ticks, instantiation_at
-from .errors import TargetRequiredError, UnknownNodeError
+from .errors import TargetRequiredError
 from .graph import DEFAULT_MAX_CYCLES, AttackGraph, CyclePath, find_cycles
 
 CLASSIFY_ENUM_LIMIT = 20
@@ -80,29 +80,23 @@ def classify_cycles(
     target's first hit. Without a target, a cycle that can fire cannot be
     split into Type 2 or 3 and its report has ``cycle_type`` None.
     """
-    index = graph.dense.index
-    if target is not None and target not in index:
-        raise UnknownNodeError(f"target {target} is not in the graph")
+    d = graph.dense
+    target_row = None if target is None else d.row(target)
     if not cycles:
         return []
     cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
-    for ids in cycle_ids:
-        for v in ids:
-            if v not in index:
-                raise UnknownNodeError(f"cycle node {v} is not in the graph")
-
-    cycle_rows = [[index[v] for v in ids] for ids in cycle_ids]
+    cycle_rows = [[d.row(v) for v in ids] for ids in cycle_ids]
     on_cycles = sorted({i for rows in cycle_rows for i in rows})
-    never = len(index) + 1
+    never = len(d.ids) + 1
 
-    ever_on = np.zeros(len(index), dtype=bool)
+    ever_on = np.zeros(len(d.ids), dtype=bool)
     witnesses: list[tuple[Instantiation, int, int] | None] = [None] * len(cycles)
     for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
         for i in on_cycles:
             ever_on[i] |= bool(hits[i].min() < never)
-        if target is None:
+        if target_row is None:
             continue
-        th = hits[index[target]]
+        th = hits[target_row]
         reached = th < never
         first = np.empty(len(idx), dtype=hits.dtype)
         for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
@@ -167,7 +161,7 @@ def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:
     edge-removal schemes would cut.
     """
     hits = first_hit_ticks(graph, Instantiation({v: 1 for v in graph.node_ids}))
-    head = min(cycle.node_set, key=lambda v: (int(hits[graph.dense.index[v]]), v))
+    head = min(cycle.node_set, key=lambda v: (int(hits[graph.dense.row(v)]), v))
     for src, dst in cycle.edge_list:
         if dst == head:
             return (src, dst)

@@ -92,7 +92,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_ve(args) -> int:
     graph = _load_graph(args.infile)
-    value = bayes.eliminate(bayes.to_bayes_net(graph), args.node)
+    value = bayes.eliminate(graph, args.node)
     sys.stdout.write(f"{args.node}\t{_fmt(value, args.precision)}\n")
     return EXIT_OK
 
@@ -126,7 +126,7 @@ def _cmd_compare(args) -> int:
     algorithm = propagate.solve_node(graph, args.node)
     exact = circuit.reachability_exact(graph, args.node).probability
     try:
-        ve = bayes.eliminate(bayes.to_bayes_net(graph), args.node)
+        ve = bayes.eliminate(graph, args.node)
     except GraphCyclicError:
         ve = None
         print("graph is cyclic; variable elimination unavailable", file=sys.stderr)

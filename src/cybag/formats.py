@@ -71,10 +71,12 @@ def write_text(path, text: str) -> None:
 
 
 def _fail(where, message: str) -> Exception:
-    """The reader's error: SchemaError at a JSON path, ParseError at a CSV line."""
+    """The reader's error: SchemaError at a JSON path, or ParseError at a
+    ``(path, line)`` of a CSV file."""
     if isinstance(where, str):
         return SchemaError(message, where)
-    return ParseError(message, where)
+    path, line = where
+    return ParseError(f"{message} in {path}", line)
 
 
 def _parse_id(raw, where, ids: set[int]) -> int:
@@ -223,12 +225,12 @@ _MULVAL_KINDS = {"LEAF": NodeKind.LEAF, "AND": NodeKind.AND, "OR": NodeKind.OR}
 
 
 def _csv_rows(path):
-    """Numbered non-empty rows of a CSV file."""
+    """Non-empty rows of a CSV file, each with its ``(path, line)``."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         for row in rows:
             if row:
-                yield rows.line_num, row
+                yield (path, rows.line_num), row
     except csv.Error as exc:
         raise ParseError(f"not valid CSV in {path}: {exc}", rows.line_num) from exc
 
@@ -249,20 +251,20 @@ def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
     """
     nodes: list[Node] = []
     ids: set[int] = set()
-    for lineno, row in _csv_rows(vertices_path):
+    for where, row in _csv_rows(vertices_path):
         if len(row) != 4:
-            raise ParseError(f"expected 4 fields id,label,kind,p, got {len(row)}", lineno)
+            raise _fail(where, f"expected 4 fields id,label,kind,p, got {len(row)}")
         raw_id, label, raw_kind, raw_p = row
-        nid = _parse_id(_csv_int(raw_id), lineno, ids)
+        nid = _parse_id(_csv_int(raw_id), where, ids)
         kind = _MULVAL_KINDS.get(raw_kind.strip())
         if kind is None:
-            raise ParseError(f"unknown node kind {raw_kind!r}", lineno)
-        nodes.append(Node(nid, kind, label, _parse_prob(raw_p, lineno)))
+            raise _fail(where, f"unknown node kind {raw_kind!r}")
+        nodes.append(Node(nid, kind, label, _parse_prob(raw_p, where)))
 
     seen: set[tuple[int, int]] = set()
     edges = [
-        _parse_edge([_csv_int(x) for x in row], lineno, ids, seen)
-        for lineno, row in _csv_rows(arcs_path)
+        _parse_edge([_csv_int(x) for x in row], where, ids, seen)
+        for where, row in _csv_rows(arcs_path)
     ]
     return AttackGraph(nodes, edges)
 

@@ -82,19 +82,20 @@ class AttackGraph:
 
     @cached_property
     def parents(self) -> dict[int, tuple[int, ...]]:
-        """Parent ids per node, ascending; every node id is present as a key."""
-        pa: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        """Parent ids per node, ascending and distinct; every node id is a key."""
+        pa: dict[int, set[int]] = {n.id: set() for n in self.nodes}
         for src, dst in self.edges:
             if dst in pa and src in pa:
-                pa[dst].append(src)
+                pa[dst].add(src)
         return {v: tuple(sorted(ps)) for v, ps in pa.items()}
 
     @cached_property
     def children(self) -> dict[int, tuple[int, ...]]:
-        ch: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        """Child ids per node, ascending and distinct; every node id is a key."""
+        ch: dict[int, set[int]] = {n.id: set() for n in self.nodes}
         for src, dst in self.edges:
             if src in ch and dst in ch:
-                ch[src].append(dst)
+                ch[src].add(dst)
         return {v: tuple(sorted(cs)) for v, cs in ch.items()}
 
     def node(self, node_id: int) -> Node:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import SchemaError
 from .formats import load_json
 from .graph import AttackGraph, NodeKind
 
@@ -97,19 +97,20 @@ def parse_cvss_vector(vector: str) -> ComplexityScore:
 def import_feed(path) -> list[CveRecord]:
     """Read a JSON array of ``{"cve_id": ..., "vector": ...}`` objects.
 
-    Later duplicates of a CVE id win, with a warning.
+    Later duplicates of a CVE id win, with a warning. A feed that breaks
+    this shape is a :class:`SchemaError` at the JSON path of the element.
     """
     data = load_json(path)
     if not isinstance(data, list):
-        raise ParseError("feed must be a JSON array of records")
+        raise SchemaError("feed must be a JSON array of records", "$")
 
     by_id: dict[str, CveRecord] = {}
     for i, item in enumerate(data):
         if not isinstance(item, dict) or "cve_id" not in item or "vector" not in item:
-            raise ParseError(f"record {i} must be an object with cve_id and vector")
+            raise SchemaError("record must be an object with cve_id and vector", f"[{i}]")
         cve_id = str(item["cve_id"]).upper()
         if not CVE_PATTERN.fullmatch(cve_id):
-            raise ParseError(f"record {i}: not a CVE id: {item['cve_id']!r}")
+            raise SchemaError(f"not a CVE id: {item['cve_id']!r}", f"[{i}].cve_id")
         if cve_id in by_id:
             log.warning("duplicate feed entry for %s; keeping the last one", cve_id)
         by_id[cve_id] = CveRecord(cve_id, parse_cvss_vector(str(item["vector"])))

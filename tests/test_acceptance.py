@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from cybag.bayes import brute_force_marginal, eliminate, to_bayes_net
+from cybag.bayes import brute_force_marginal, eliminate
 from cybag.circuit import reachability_exact
 from cybag.classify import CycleType, classify_all, classify_cycle, closing_edge
 from cybag.cli import run
@@ -99,7 +99,7 @@ def test_criterion_01_three_engine_agreement_on_fig5():
         g = load_fixture("fig5.json")
         expected = 0.336
         assert abs(solve_node(g, 2) - expected) <= 1e-9
-        assert abs(eliminate(to_bayes_net(g), 2) - expected) <= 1e-9
+        assert abs(eliminate(g, 2) - expected) <= 1e-9
         assert abs(reachability_exact(g, 2).probability - expected) <= 1e-9
 
 
@@ -110,9 +110,8 @@ def test_criterion_02_loop_free_exactness():
             g = _random_forest(1000 + i, 2 + (i * 5) % 25)
             assert is_loop_free(g)
             probs = solve_all(g)
-            bn = to_bayes_net(g)
             for v in g.node_ids:
-                worst = max(worst, abs(probs[v] - eliminate(bn, v)))
+                worst = max(worst, abs(probs[v] - eliminate(g, v)))
         assert worst <= 1e-9, f"worst per-node deviation {worst}"
 
 
@@ -121,8 +120,7 @@ def test_criterion_03_mean_error_on_loopy_acyclic_graphs():
         errors = []
         for g in _loopy_acyclic_suite(200):
             probs = solve_all(g)
-            bn = to_bayes_net(g)
-            errors.extend(abs(probs[v] - eliminate(bn, v)) for v in g.node_ids)
+            errors.extend(abs(probs[v] - eliminate(g, v)) for v in g.node_ids)
         mean_error = sum(errors) / len(errors)
         print(f"    mean error {mean_error:.4f} over {len(errors)} node values")
         assert mean_error <= 0.02
@@ -132,21 +130,19 @@ def test_criterion_04_circuit_equals_ve_on_acyclic():
     with criterion(4, "circuit exact == VE (1e-9) on 100 acyclic graphs <= 18 nodes", 300.0):
         for i in range(100):
             g = generate(GenParams(n=5 + i % 14, cyclicity=0, seed=5000 + i))
-            bn = to_bayes_net(g)
             for v in g.node_ids:
-                delta = abs(reachability_exact(g, v).probability - eliminate(bn, v))
+                delta = abs(reachability_exact(g, v).probability - eliminate(g, v))
                 assert delta <= 1e-9, f"graph seed {5000 + i}, node {v}: {delta}"
 
 
 def test_criterion_05_shared_dependency_discrepancy():
     with criterion(5, "diamond: propagation 0.75 vs exact 0.5; direction surveyed"):
         g = load_fixture("diamond.json")
-        bn = to_bayes_net(g)
         assert abs(solve_node(g, 3) - 0.75) <= 1e-9
-        assert abs(eliminate(bn, 3) - 0.5) <= 1e-9
-        assert abs(brute_force_marginal(bn, 3) - 0.5) <= 1e-9
+        assert abs(eliminate(g, 3) - 0.5) <= 1e-9
+        assert abs(brute_force_marginal(g, 3) - 0.5) <= 1e-9
         assert abs(reachability_exact(g, 3).probability - 0.5) <= 1e-9
-        assert solve_node(g, 3) >= eliminate(bn, 3)
+        assert solve_node(g, 3) >= eliminate(g, 3)
 
         # Direction survey over the first 100 graphs of the criterion-3
         # suite, at the deepest sink. The overshoot direction is guaranteed
@@ -157,7 +153,7 @@ def test_criterion_05_shared_dependency_discrepancy():
             sinks = [v for v in g.node_ids if not g.children[v]]
             q = max(sinks)
             algo = solve_node(g, q)
-            ve = eliminate(to_bayes_net(g), q)
+            ve = eliminate(g, q)
             if algo < ve - 1e-12:
                 counterexamples.append((len(g.nodes), q, algo, ve))
         held = 100 - len(counterexamples)

@@ -7,7 +7,7 @@ from cybag.bayes import (
     brute_force_marginal,
     eliminate,
     elimination_order,
-    to_bayes_net,
+    node_factor,
 )
 from cybag.errors import (
     BadOrderError,
@@ -33,13 +33,13 @@ def acyclic_samples(count, lo=5, hi=26):
 
 
 def test_leaf_table(fig5):
-    factor = to_bayes_net(fig5).cpts[0].to_factor()
+    factor = node_factor(fig5, 0)
     assert factor.scope == (0,)
     assert factor.table == pytest.approx(np.array([0.3, 0.7]))
 
 
 def test_and_table(fig5):
-    factor = to_bayes_net(fig5).cpts[2].to_factor()
+    factor = node_factor(fig5, 2)
     assert factor.scope == (0, 1, 2)
     # only the all-parents-true row carries probability 0.6
     assert factor.table[1, 1, 0] == pytest.approx(0.4)
@@ -54,7 +54,7 @@ def test_or_table():
         [Node(0, L, "", 0.5), Node(1, L, "", 0.5), Node(2, O, "", 0.8)],
         [(0, 2), (1, 2)],
     )
-    factor = to_bayes_net(g).cpts[2].to_factor()
+    factor = node_factor(g, 2)
     assert factor.table[0, 0, 0] == 1.0 and factor.table[0, 0, 1] == 0.0
     for a, b in [(0, 1), (1, 0), (1, 1)]:
         assert factor.table[a, b, 0] == pytest.approx(0.2)
@@ -63,31 +63,32 @@ def test_or_table():
 
 def test_rows_sum_to_one():
     for g in acyclic_samples(5):
-        bn = to_bayes_net(g)
-        for v, cpt in bn.cpts.items():
-            factor = cpt.to_factor()
+        for v in g.node_ids:
+            factor = node_factor(g, v)
             axis = factor.scope.index(v)
             sums = factor.table.sum(axis=axis)
             assert np.allclose(sums, 1.0, atol=1e-12)
 
 
-def test_to_bayes_net_rejects_cycles(two_cycle):
+def test_oracles_reject_cycles(two_cycle):
     with pytest.raises(GraphCyclicError):
-        to_bayes_net(two_cycle)
+        eliminate(two_cycle, 0)
+    with pytest.raises(GraphCyclicError):
+        brute_force_marginal(two_cycle, 0)
 
 
 def test_eliminate_fig5(fig5):
-    assert eliminate(to_bayes_net(fig5), 2) == pytest.approx(0.336, abs=1e-12)
+    assert eliminate(fig5, 2) == pytest.approx(0.336, abs=1e-12)
 
 
 def test_eliminate_diamond(diamond):
     # exact answer: the goal fires iff the shared leaf does
-    assert eliminate(to_bayes_net(diamond), 3) == pytest.approx(0.5, abs=1e-12)
+    assert eliminate(diamond, 3) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_eliminate_single_leaf():
     g = AttackGraph([Node(0, L, "", 0.61)], [])
-    assert eliminate(to_bayes_net(g), 0) == pytest.approx(0.61)
+    assert eliminate(g, 0) == pytest.approx(0.61)
 
 
 def test_elimination_order_chain():
@@ -95,61 +96,57 @@ def test_elimination_order_chain():
         [Node(0, L, "", 0.5), Node(1, O, "", 1.0), Node(2, O, "", 1.0)],
         [(0, 1), (1, 2)],
     )
-    assert elimination_order(to_bayes_net(g), 2) == [0, 1]
+    assert elimination_order(g, 2) == [0, 1]
 
 
 def test_elimination_order_is_complete(fig5, diamond):
-    assert sorted(elimination_order(to_bayes_net(fig5), 2)) == [0, 1]
-    assert sorted(elimination_order(to_bayes_net(diamond), 3)) == [0, 1, 2]
+    assert sorted(elimination_order(fig5, 2)) == [0, 1]
+    assert sorted(elimination_order(diamond, 3)) == [0, 1, 2]
 
 
 def test_eliminate_rejects_bad_order(fig5):
-    bn = to_bayes_net(fig5)
     with pytest.raises(BadOrderError):
-        eliminate(bn, 2, order=[0])
+        eliminate(fig5, 2, order=[0])
     with pytest.raises(BadOrderError):
-        eliminate(bn, 2, order=[0, 0])
+        eliminate(fig5, 2, order=[0, 0])
     with pytest.raises(BadOrderError):
-        eliminate(bn, 2, order=[0, 1, 2])
+        eliminate(fig5, 2, order=[0, 1, 2])
 
 
 def test_order_invariance():
     rng = random.Random(99)
     for g in acyclic_samples(4, lo=6, hi=14):
-        bn = to_bayes_net(g)
         query = max(g.node_ids)
-        reference = eliminate(bn, query)
-        rest = [v for v in bn.variables if v != query]
+        reference = eliminate(g, query)
+        rest = [v for v in g.node_ids if v != query]
         for _ in range(5):
             order = rest[:]
             rng.shuffle(order)
-            assert eliminate(bn, query, order) == pytest.approx(reference, abs=1e-10)
+            assert eliminate(g, query, order) == pytest.approx(reference, abs=1e-10)
 
 
 def test_brute_force_fig5_and_diamond(fig5, diamond):
-    assert brute_force_marginal(to_bayes_net(fig5), 2) == pytest.approx(0.336, abs=1e-12)
-    assert brute_force_marginal(to_bayes_net(diamond), 3) == pytest.approx(0.5, abs=1e-12)
+    assert brute_force_marginal(fig5, 2) == pytest.approx(0.336, abs=1e-12)
+    assert brute_force_marginal(diamond, 3) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_brute_force_root_leaf(fig5):
-    bn = to_bayes_net(fig5)
-    assert brute_force_marginal(bn, 0) == pytest.approx(0.7)
-    assert brute_force_marginal(bn, 1) == pytest.approx(0.8)
+    assert brute_force_marginal(fig5, 0) == pytest.approx(0.7)
+    assert brute_force_marginal(fig5, 1) == pytest.approx(0.8)
 
 
 def test_brute_force_size_limit():
     g = AttackGraph([Node(v, L, "", 0.5) for v in range(25)], [])
     with pytest.raises(TooLargeError):
-        brute_force_marginal(to_bayes_net(g), 0)
+        brute_force_marginal(g, 0)
 
 
 def test_ve_matches_brute_force_on_random_graphs(forest_builder):
     graphs = acyclic_samples(10, lo=2, hi=20) + [forest_builder(s, 2 + s) for s in range(8)]
     for g in graphs:
-        bn = to_bayes_net(g)
         for v in g.node_ids:
-            assert eliminate(bn, v) == pytest.approx(
-                brute_force_marginal(bn, v), abs=1e-10
+            assert eliminate(g, v) == pytest.approx(
+                brute_force_marginal(g, v), abs=1e-10
             )
 
 
@@ -157,24 +154,22 @@ def test_loop_free_equality_with_propagation(forest_builder):
     for seed in range(12):
         g = forest_builder(seed + 100, 3 + seed)
         assert is_loop_free(g)
-        bn = to_bayes_net(g)
         probs = solve_all(g)
         for v in g.node_ids:
-            assert probs[v] == pytest.approx(eliminate(bn, v), abs=1e-10)
+            assert probs[v] == pytest.approx(eliminate(g, v), abs=1e-10)
 
 
 def test_loopy_discrepancy_direction_on_diamond(diamond):
     # shared ancestry makes the product formula overshoot the exact value
     assert solve_node(diamond, 3) == pytest.approx(0.75)
-    assert eliminate(to_bayes_net(diamond), 3) == pytest.approx(0.5)
+    assert eliminate(diamond, 3) == pytest.approx(0.5)
 
 
 def test_width_limit_hits_eliminate_not_translation():
     leaves = [Node(v, L, "", 0.5) for v in range(21)]
     sink = Node(21, A, "", 1.0)
     g = AttackGraph(leaves + [sink], [(v, 21) for v in range(21)])
-    bn = to_bayes_net(g)  # translation stays procedural, no error
     with pytest.raises(WidthLimitError):
-        eliminate(bn, 21)
+        eliminate(g, 21)
     # enumeration never materializes the wide table
-    assert brute_force_marginal(bn, 21) == pytest.approx(0.5**21, abs=1e-12)
+    assert brute_force_marginal(g, 21) == pytest.approx(0.5**21, abs=1e-12)

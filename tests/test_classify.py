@@ -10,9 +10,9 @@ from cybag.classify import (
     closing_edge,
     first_hit,
 )
-from cybag.errors import TargetRequiredError, TooLargeError
+from cybag.errors import TargetRequiredError, TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
-from cybag.graph import AttackGraph, Node, NodeKind, find_cycles
+from cybag.graph import AttackGraph, CyclePath, Node, NodeKind, find_cycles
 
 
 def hits_by_node(g, inst):
@@ -135,6 +135,12 @@ def test_closing_edge_choice():
     g3 = load_fixture("type3.json")
     (c3,) = find_cycles(g3)
     assert closing_edge(g3, c3) == (6, 3)
+
+
+def test_closing_edge_rejects_a_cycle_not_in_the_graph():
+    g = load_fixture("type2.json")
+    with pytest.raises(UnknownNodeError, match="node 90 is not in the graph"):
+        closing_edge(g, CyclePath((90, 91, 90)))
 
 
 def test_removing_type2_closing_edge_is_neutral():

@@ -227,17 +227,17 @@ def test_read_mulval_csv_negative_zero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "vertex_lines, arc_lines, line",
+    "vertex_lines, arc_lines, line, name",
     [
-        ('-1,"x",LEAF,1.0\n', "", 1),
-        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n1,1\n", 2),
-        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n0,1\n", 2),
-        ('0,"x",LEAF,1.0\n0,"y",OR,1.0\n', "", 2),
-        ('0,"' + "x" * 200_000 + '",LEAF,1.0\n', "", 1),
+        ('-1,"x",LEAF,1.0\n', "", 1, "v.csv"),
+        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n1,1\n", 2, "a.csv"),
+        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n0,1\n", 2, "a.csv"),
+        ('0,"x",LEAF,1.0\n0,"y",OR,1.0\n', "", 2, "v.csv"),
+        ('0,"' + "x" * 200_000 + '",LEAF,1.0\n', "", 1, "v.csv"),
     ],
     ids=["negative-id", "self-arc", "duplicate-arc", "duplicate-id", "huge-field"],
 )
-def test_read_mulval_csv_rejects_bad_elements(vertex_lines, arc_lines, line, tmp_path):
+def test_read_mulval_csv_rejects_bad_elements(vertex_lines, arc_lines, line, name, tmp_path):
     vertices = tmp_path / "v.csv"
     vertices.write_text(vertex_lines)
     arcs = tmp_path / "a.csv"
@@ -245,6 +245,7 @@ def test_read_mulval_csv_rejects_bad_elements(vertex_lines, arc_lines, line, tmp
     with pytest.raises(ParseError) as exc:
         read_mulval_csv(vertices, arcs)
     assert exc.value.line == line
+    assert str(tmp_path / name) in exc.value.message
 
 
 @pytest.mark.parametrize("bad", ["vertices", "arcs"])

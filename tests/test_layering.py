@@ -4,7 +4,8 @@ Each engine decision has one owner: modules talk to each other through
 public names only. ``graph.py`` owns the graph algorithms (components and
 cycle enumeration) itself, so no module imports networkx, which the tests
 keep only as a reference oracle. ``formats.py`` is the one file boundary:
-no other module opens a file.
+no other module opens a file. ``DenseIndex.row`` in ``graph.py`` is the
+one node lookup: no other module raises ``UnknownNodeError``.
 """
 
 import ast
@@ -64,6 +65,18 @@ def test_only_formats_opens_files():
         )
     }
     assert openers == {"formats.py"}
+
+
+def test_only_graph_raises_unknown_node():
+    raisers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and "UnknownNodeError" in {n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name)}
+    }
+    assert raisers == {"graph.py"}
 
 
 def test_cli_import_leaves_networkx_unloaded():

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from conftest import attack_graphs
 
-from cybag.bayes import eliminate, to_bayes_net
+from cybag.bayes import eliminate
 from cybag.formats import document_to_graph, graph_to_document
 from cybag.graph import find_cycles, is_loop_free, topological_order, validate
 from cybag.propagate import (
@@ -63,7 +63,6 @@ def test_loop_free_solves_exactly(g):
         return
     closed = solve_acyclic_closed_form(g)
     full = solve_all(g)
-    bn = to_bayes_net(g)
     for v in g.node_ids:
         assert abs(full[v] - closed[v]) <= 1e-12
-        assert abs(full[v] - eliminate(bn, v)) <= 1e-10
+        assert abs(full[v] - eliminate(g, v)) <= 1e-10

@@ -3,7 +3,7 @@ import logging
 
 import pytest
 
-from cybag.errors import IoError, ParseError
+from cybag.errors import IoError, ParseError, SchemaError
 from cybag.formats import fixture_path, load_fixture
 from cybag.scoring import (
     Complexity,
@@ -118,12 +118,22 @@ def test_import_feed_errors(tmp_path):
     assert exc.value.line is not None
     notalist = tmp_path / "obj.json"
     notalist.write_text('{"cve_id": "CVE-2020-0001"}')
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError) as exc:
         import_feed(notalist)
+    assert exc.value.path == "$"
     badid = tmp_path / "badid.json"
     badid.write_text(json.dumps([{"cve_id": "nope", "vector": ""}]))
-    with pytest.raises(ParseError):
+    with pytest.raises(SchemaError) as exc:
         import_feed(badid)
+    assert exc.value.path == "[0].cve_id"
+
+
+def test_import_feed_bad_record_is_a_schema_error(tmp_path):
+    feed = tmp_path / "feed.json"
+    feed.write_text(json.dumps([{"cve_id": "CVE-2020-0001", "vector": ""}, ["x"]]))
+    with pytest.raises(SchemaError) as exc:
+        import_feed(feed)
+    assert exc.value.path == "[1]"
 
 
 def test_apply_scores_running_example():
