@@ -19,6 +19,7 @@ parents and brute force is capped at 24 variables.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -98,24 +99,38 @@ def _require_acyclic(graph: AttackGraph) -> None:
 
 
 def elimination_order(graph: AttackGraph, query: int) -> list[int]:
-    """Greedy min-degree order over the moralized graph, smallest id first."""
+    """Greedy min-degree order over the moralized graph, smallest id first.
+
+    Degrees count only variables not yet eliminated, the query excluded.
+    A heap keyed ``(degree, id)`` holds an entry per degree change;
+    entries whose degree is stale are skipped when they surface.
+    """
     graph.dense.row(query)
     adj: dict[int, set[int]] = {v: set() for v in graph.node_ids}
     for v, parents in graph.parents.items():
         clique = parents + (v,)
         for a in clique:
-            for b in clique:
-                if a != b:
-                    adj[a].add(b)
+            adj[a].update(clique)
+    for v, neighbors in adj.items():
+        neighbors.discard(v)
+        neighbors.discard(query)
+    del adj[query]
+    heap = [(len(neighbors), v) for v, neighbors in adj.items()]
+    heapq.heapify(heap)
     order: list[int] = []
-    remaining = set(graph.node_ids) - {query}
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        neighbors = adj.get(v)
+        if neighbors is None or len(neighbors) != degree:
+            continue
         order.append(v)
-        neighbors = adj[v] & remaining
+        del adj[v]
         for a in neighbors:
-            adj[a].update(neighbors - {a})
-        remaining.remove(v)
+            fill = adj[a]
+            fill.discard(v)
+            fill.update(neighbors)
+            fill.discard(a)
+            heapq.heappush(heap, (len(fill), a))
     return order
 
 
@@ -139,18 +154,34 @@ def eliminate(
                 "order must be a permutation of the non-query variables"
             )
 
-    factors = [node_factor(graph, v) for v in graph.node_ids]
+    # Factors are keyed by creation number, so each product multiplies its
+    # factors oldest first; holding[u] holds the keys of the factors over u.
+    factors = dict(enumerate(node_factor(graph, v) for v in graph.node_ids))
+    holding: dict[int, set[int]] = {v: set() for v in graph.node_ids}
+    for key, f in factors.items():
+        for u in f.scope:
+            holding[u].add(key)
+    created = len(factors)
     for var in order:
-        involved = [f for f in factors if var in f.scope]
-        if not involved:
+        keys = sorted(holding.pop(var))
+        if not keys:
             continue
+        involved = [factors.pop(key) for key in keys]
         product = involved[0]
         for f in involved[1:]:
             product = product.multiply(f)
-        factors = [f for f in factors if var not in f.scope] + [product.sum_out(var)]
+        for key, f in zip(keys, involved):
+            for u in f.scope:
+                if u != var:
+                    holding[u].discard(key)
+        factors[created] = product.sum_out(var)
+        for u in factors[created].scope:
+            holding[u].add(created)
+        created += 1
 
-    result = factors[0]
-    for f in factors[1:]:
+    remaining = iter(factors.values())
+    result = next(remaining)
+    for f in remaining:
         result = result.multiply(f)
     table = result.table.reshape(2)
     total = float(table[0] + table[1])

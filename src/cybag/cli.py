@@ -8,10 +8,13 @@ Machine-readable results go to stdout (TSV by default, JSON via
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from . import bayes, circuit, classify, formats, generator, propagate, scoring
+# Engines are imported inside the command that runs them, so that only
+# circuit, cycles, ve and compare pay for loading numpy.
+from . import formats
 from .errors import (
     CybagError,
     CycleLimitError,
@@ -71,6 +74,8 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from . import propagate
+
     graph = _load_graph(args.infile)
     if args.node is not None:
         values = {args.node: propagate.solve_node(graph, args.node)}
@@ -91,6 +96,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_ve(args) -> int:
+    from . import bayes
+
     graph = _load_graph(args.infile)
     value = bayes.eliminate(graph, args.node)
     sys.stdout.write(f"{args.node}\t{_fmt(value, args.precision)}\n")
@@ -98,6 +105,8 @@ def _cmd_ve(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
+    from . import circuit
+
     graph = _load_graph(args.infile)
     if args.mc:
         est = circuit.reachability_mc(graph, args.node, args.mc, args.seed)
@@ -121,6 +130,8 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import bayes, circuit, propagate
+
     graph = _load_graph(args.infile)
     p = args.precision
     algorithm = propagate.solve_node(graph, args.node)
@@ -145,6 +156,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
+    from . import classify
+
     graph = _load_graph(args.infile)
     found = find_cycles(graph, args.max)
     rows = []
@@ -184,8 +197,10 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
     return ratio  # type: ignore[return-value]
 
 
-def _gen_params(**kwargs) -> generator.GenParams:
+def _gen_params(**kwargs):
     """Generator parameters, validated by :class:`generator.GenParams`."""
+    from . import generator
+
     try:
         return generator.GenParams(**kwargs)
     except ValueError as exc:
@@ -193,6 +208,8 @@ def _gen_params(**kwargs) -> generator.GenParams:
 
 
 def _cmd_generate(args) -> int:
+    from . import generator
+
     params = _gen_params(
         n=args.n,
         cyclicity=args.cyclicity,
@@ -214,6 +231,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_bench(args) -> int:
+    from . import generator
+
     sizes = _parse_int_list(args.sizes, "--sizes")
     cyclicities = _parse_int_list(args.cyclicities, "--cyclicities")
     if not sizes or not cyclicities:
@@ -230,6 +249,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import scoring
+
     graph = _load_graph(args.infile)
     records = scoring.import_feed(args.feed)
     formats.write_json(scoring.apply_scores(graph, records), args.out)
@@ -243,13 +264,17 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from . import propagate
+
     graph = _load_graph(args.infile)
     probs = propagate.solve_all(graph) if args.probs else None
     formats.write_dot(graph, args.out, probs)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser; built once, since parsing never changes it."""
     parser = _Parser(prog="cybag", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

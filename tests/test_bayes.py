@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from conftest import attack_graphs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybag.bayes import (
     brute_force_marginal,
@@ -102,6 +105,63 @@ def test_elimination_order_chain():
 def test_elimination_order_is_complete(fig5, diamond):
     assert sorted(elimination_order(fig5, 2)) == [0, 1]
     assert sorted(elimination_order(diamond, 3)) == [0, 1, 2]
+
+
+def reference_order(graph, query):
+    """Min-degree order by a full scan of the remaining variables per step."""
+    adj = {v: set() for v in graph.node_ids}
+    for v, parents in graph.parents.items():
+        clique = parents + (v,)
+        for a in clique:
+            for b in clique:
+                if a != b:
+                    adj[a].add(b)
+    order = []
+    remaining = set(graph.node_ids) - {query}
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        neighbors = adj[v] & remaining
+        for a in neighbors:
+            adj[a].update(neighbors - {a})
+        remaining.remove(v)
+    return order
+
+
+def reference_eliminate(graph, query, order):
+    """Sum-product over one flat factor list, scanned whole for every variable."""
+    factors = [node_factor(graph, v) for v in graph.node_ids]
+    for var in order:
+        involved = [f for f in factors if var in f.scope]
+        if not involved:
+            continue
+        product = involved[0]
+        for f in involved[1:]:
+            product = product.multiply(f)
+        factors = [f for f in factors if var not in f.scope] + [product.sum_out(var)]
+    result = factors[0]
+    for f in factors[1:]:
+        result = result.multiply(f)
+    table = result.table.reshape(2)
+    return float(table[1]) / float(table[0] + table[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(attack_graphs(max_nodes=12, allow_cycles=False), st.data())
+def test_heap_order_and_indexed_elimination_match_the_references(g, data):
+    query = data.draw(st.sampled_from(g.node_ids), label="query")
+    order = elimination_order(g, query)
+    assert order == reference_order(g, query)
+    assert eliminate(g, query) == reference_eliminate(g, query, order)
+
+
+def test_heap_order_and_indexed_elimination_match_on_generated_dags():
+    for seed in range(3):
+        g = generate(GenParams(n=150, cyclicity=0, seed=seed))
+        for query in (g.node_ids[0], *g.node_ids[-5:]):
+            order = elimination_order(g, query)
+            assert order == reference_order(g, query)
+            assert eliminate(g, query) == reference_eliminate(g, query, order)
 
 
 def test_eliminate_rejects_bad_order(fig5):

@@ -4,12 +4,18 @@ Every example must end in exit code 0-3 (CLI) or a result or
 :class:`CybagError` (MulVAL reader): never another exception. The
 strategies stay close to each document's shape, with mistyped fields
 mixed in, so that most examples get past JSON decoding and exercise the
-element rules and the engines behind them.
+element rules and the engines behind them; arbitrary bytes cover the
+decoding itself. A 10^5-node chain checks that no command hangs or
+overflows the stack on deep input.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +23,8 @@ from hypothesis import strategies as st
 
 from cybag.cli import run
 from cybag.errors import CybagError
-from cybag.formats import fixture_path, read_mulval_csv
+from cybag.formats import fixture_path, read_mulval_csv, write_json
+from cybag.graph import AttackGraph, Node, NodeKind
 
 FUZZ = settings(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -92,19 +99,29 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@FUZZ
-@given(data=st.data())
-def test_cli_ends_in_an_exit_code(command, data, workdir):
-    shaped, argv = COMMANDS[command]
-    doc = data.draw(shaped | json_values, label="document")
+def run_on_file(command, content: bytes, workdir) -> None:
     path, out = workdir / f"{command}.json", workdir / "out"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    argv = [a.format(doc=path, out=out) for a in argv]
+    path.write_bytes(content)
+    argv = [a.format(doc=path, out=out) for a in COMMANDS[command][1]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run(argv)
     assert code in (0, 1, 2, 3), (code, stderr.getvalue())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@FUZZ
+@given(data=st.data())
+def test_cli_ends_in_an_exit_code(command, data, workdir):
+    doc = data.draw(COMMANDS[command][0] | json_values, label="document")
+    run_on_file(command, json.dumps(doc).encode("utf-8"), workdir)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@FUZZ
+@given(content=st.binary(max_size=64))
+def test_cli_ends_in_an_exit_code_on_arbitrary_bytes(command, content, workdir):
+    run_on_file(command, content, workdir)
 
 
 fields = st.sampled_from(
@@ -125,3 +142,43 @@ def test_mulval_reader_returns_or_raises_a_package_error(vertices, arcs, workdir
         read_mulval_csv(vpath, apath)
     except CybagError:
         pass
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHAIN_NODES = 100_000
+
+
+@pytest.fixture(scope="module")
+def chain_file(workdir):
+    """Leaf 0 feeding alternating And/Or nodes 1..n-1, every probability 0.9."""
+    kinds = (NodeKind.OR, NodeKind.AND)
+    nodes = [Node(0, NodeKind.LEAF, "", 0.9)]
+    nodes += [Node(v, kinds[v % 2], "", 0.9) for v in range(1, CHAIN_NODES)]
+    path = workdir / "chain.json"
+    write_json(AttackGraph(nodes, [(v - 1, v) for v in range(1, CHAIN_NODES)]), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve", "--node", "{last}"], 0),
+        (["cycles"], 0),
+        (["dot", "--out", "{out}"], 0),
+        (["circuit", "--node", "{last}"], 3),
+        (["ve", "--node", "{last}"], 0),
+    ],
+    ids=["solve", "cycles", "dot", "circuit", "ve"],
+)
+def test_deep_chain_ends_in_its_exit_code(argv, expected, chain_file):
+    fields = {"last": CHAIN_NODES - 1, "out": chain_file.with_suffix(".dot")}
+    argv = [argv[0], "--in", str(chain_file)] + [a.format(**fields) for a in argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cybag.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -5,26 +5,38 @@ public names only. ``graph.py`` owns the graph algorithms (components and
 cycle enumeration) itself, so no module imports networkx, which the tests
 keep only as a reference oracle. ``formats.py`` is the one file boundary:
 no other module opens a file. ``DenseIndex.row`` in ``graph.py`` is the
-one node lookup: no other module raises ``UnknownNodeError``.
+one node lookup: no other module raises ``UnknownNodeError``. The package
+root and the CLI import no engine at module level, so a command loads
+only the engine it runs, and numpy only when that engine needs it.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "cybag"
 MODULES = sorted(SRC.glob("*.py"))
+ENGINES = {"bayes", "circuit", "classify", "generator", "propagate", "scoring"}
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
+
+
+def import_entries(node):
+    """(level, module, names) for each module an import statement imports."""
+    if isinstance(node, ast.ImportFrom):
+        yield node.level, node.module or "", [a.name for a in node.names]
+    elif isinstance(node, ast.Import):
+        for alias in node.names:
+            yield 0, alias.name, []
 
 
 def imports(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            yield node.level, node.module or "", [a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                yield 0, alias.name, []
+        yield from import_entries(node)
 
 
 def test_modules_found():
@@ -79,13 +91,79 @@ def test_only_graph_raises_unknown_node():
     assert raisers == {"graph.py"}
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    code = "import sys, cybag.cli; print('networkx' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
+def module_level_imports(path):
+    """Imports that run when the module loads: everything outside function bodies."""
+    pending = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield from import_entries(node)
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def package_modules_named(level, module, names):
+    """The cybag modules an import statement names."""
+    parts = module.split(".") if module else []
+    if level == 0:
+        if parts[:1] != ["cybag"]:
+            return set()
+        parts = parts[1:]
+    return {parts[0]} if parts else set(names)
+
+
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+def test_no_engine_imported_at_module_level(name):
+    named = set().union(*(package_modules_named(*i) for i in module_level_imports(SRC / name)))
+    assert named & ENGINES == set()
+
+
+def run_python(code, *args, cwd=None):
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
         capture_output=True,
         text=True,
         check=True,
+        cwd=cwd,
     )
-    assert proc.stdout == "False\n"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    code = "import sys, cybag.cli; print('networkx' in sys.modules)"
+    assert run_python(code).stdout == "False\n"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    code = "import sys, cybag; print('numpy' in sys.modules)"
+    assert run_python(code).stdout == "False\n"
+
+
+# Runs one CLI command in a fresh process; stderr's last line says whether
+# numpy was loaded and the exit code.
+CLI_PROBE = (
+    "import sys, cybag.cli\n"
+    "code = cybag.cli.run(sys.argv[1:])\n"
+    "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+)
+RUNNING = str(SRC / "fixtures" / "running-example.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--in", RUNNING],
+        ["generate", "--n", "60", "--cyclicity", "40", "--out", "g.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_pure_python_commands_leave_numpy_unloaded(argv, tmp_path):
+    proc = run_python(CLI_PROBE, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1] == "False 0"
+
+
+def test_circuit_loads_numpy_and_prints_its_golden_output():
+    proc = run_python(CLI_PROBE, "circuit", "--in", RUNNING, "--node", "9")
+    assert proc.stderr.splitlines()[-1] == "True 0"
+    golden = json.loads(GOLDEN_CLI.read_text())
+    assert proc.stdout == golden["circuit --in running-example --node 9 --format tsv"]
