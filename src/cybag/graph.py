@@ -153,7 +153,7 @@ class DenseIndex:
         """Strongly connected components in topological order of the
         condensation, as (ascending member rows, cyclic). A component is
         cyclic when it has two or more members or a self-edge. Computed on
-        first use, so the recursive solver never pays for it."""
+        first use, so a single-node solve never pays for it."""
         return _components(self.parents, range(len(self.ids)))
 
 

@@ -16,6 +16,13 @@ because each computation keeps a visited set rooted at the queried node:
 And nodes combine parent contributions as a product, Or nodes as a
 noisy-or, and both multiply by their own local probability afterwards.
 
+:func:`solve_all` runs that recursion from every node but does once per
+call the work that does not depend on the origin: leaf contributions are
+constants, and a node on no cycle whose whole interior ancestry feeds
+only it is solved once and reused. Every float comes out of the same
+multiplications in the same order, so it equals :func:`solve_node` bit
+for bit.
+
 :func:`solve_acyclic_closed_form` is the single-pass evaluator for acyclic
 graphs; on loop-free graphs it agrees with :func:`solve_node` exactly.
 
@@ -112,12 +119,93 @@ def solve_node_stats(graph: AttackGraph, v: int) -> tuple[float, int]:
 
 
 def solve_all(graph: AttackGraph) -> dict[int, float]:
-    """Access probability for every node.
+    """Access probability for every node, bit-identical to :func:`solve_node`.
 
-    Each node is solved independently, so the outer order is immaterial.
+    Every origin still runs its own rooted recursion, but two kinds of
+    work that do not depend on the origin are done once per call:
+
+    * Leaves are constants: a leaf contributes its local probability
+      whether or not it was visited. Each row's leading run of leaf
+      parents is folded into its starting accumulator (``1.0*c1*c2...``
+      is the float the loop would build), and every origin's visited set
+      starts with all leaves marked, so a visited row contributes
+      ``seen[row]``: its probability for a leaf, 0 for an interior row
+      (the origin included).
+    * Closed rows are memoised. A row is *closed* when it is on no cycle
+      and each interior parent has it as its only child and is itself
+      closed. Every interior ancestor of a closed row u then has all its
+      children in u's cone or equal to u, so a recursion can enter that
+      cone only through u and always computes ``solve_node(u)`` there,
+      with the same operations. Origins run in condensation order, a
+      closed row's value is stored when its frame pops, and afterwards an
+      unvisited closed row contributes that value without a push; no
+      later step can read the visited marks of the cone it skips.
     """
     d = graph.dense
-    return {v: _solve_index(d, i)[0] for i, v in enumerate(d.ids)}
+    kinds, probs, parents = d.kinds, d.probs, d.parents
+    n = len(kinds)
+
+    template = bytearray(k == KIND_LEAF for k in kinds)
+    ands = [k == KIND_AND for k in kinds]
+    seen = [probs[v] if template[v] else 0.0 for v in range(n)]
+    start = [1.0] * n
+    tail: list[tuple[int, ...]] = [()] * n
+    outdeg = [0] * n
+    for v in range(n):
+        ps = parents[v]
+        for p in ps:
+            outdeg[p] += 1
+        if template[v]:
+            continue
+        k, acc = 0, 1.0
+        while k < len(ps) and template[ps[k]]:
+            acc *= probs[ps[k]] if ands[v] else 1.0 - probs[ps[k]]
+            k += 1
+        start[v], tail[v] = acc, ps[k:]
+
+    order: list[int] = []
+    closed = bytearray(n)
+    for members, cyclic in d.blocks:
+        order += members
+        v = members[0]
+        if not (cyclic or template[v]):
+            closed[v] = all(template[p] or (outdeg[p] == 1 and closed[p]) for p in parents[v])
+
+    memo: list[float | None] = [None] * n
+    values = seen[:]
+    for origin in order:
+        if template[origin]:
+            continue
+        visited = template[:]
+        visited[origin] = 1
+        # The current frame lives in locals, suspended frames on the stack.
+        # For And rows ``acc`` is the running product of contributions, for
+        # Or rows the running product of complements.
+        v, ps, i, acc, is_and = origin, tail[origin], 0, start[origin], ands[origin]
+        stack = []
+        while True:
+            if i < len(ps):
+                u = ps[i]
+                i += 1
+                if visited[u]:
+                    contrib = seen[u]
+                else:
+                    visited[u] = 1
+                    contrib = memo[u]
+                    if contrib is None:
+                        stack.append((v, ps, i, acc, is_and))
+                        v, ps, i, acc, is_and = u, tail[u], 0, start[u], ands[u]
+                        continue
+            else:
+                contrib = probs[v] * (acc if is_and else 1.0 - acc)
+                if closed[v]:
+                    memo[v] = contrib
+                if not stack:
+                    break
+                v, ps, i, acc, is_and = stack.pop()
+            acc *= contrib if is_and else 1.0 - contrib
+        values[origin] = contrib
+    return dict(zip(d.ids, values))
 
 
 def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:

@@ -163,12 +163,14 @@ def chain_file(workdir):
     "argv, expected",
     [
         (["solve", "--node", "{last}"], 0),
+        (["solve"], 0),
         (["cycles"], 0),
         (["dot", "--out", "{out}"], 0),
+        (["dot", "--out", "{out}", "--probs"], 0),
         (["circuit", "--node", "{last}"], 3),
         (["ve", "--node", "{last}"], 0),
     ],
-    ids=["solve", "cycles", "dot", "circuit", "ve"],
+    ids=["solve", "solve-all", "cycles", "dot", "dot-probs", "circuit", "ve"],
 )
 def test_deep_chain_ends_in_its_exit_code(argv, expected, chain_file):
     fields = {"last": CHAIN_NODES - 1, "out": chain_file.with_suffix(".dot")}

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybag.errors import GraphCyclicError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import AttackGraph, Node, NodeKind
 from cybag.propagate import (
+    _solve_index,
     conjunction,
     disjunction,
     solve_acyclic_closed_form,
@@ -154,3 +157,59 @@ def test_parent_order_is_immaterial_on_loop_free_graphs(forest_builder):
         rev, top = reversed_ids(g)
         for v in g.node_ids:
             assert solve_node(rev, top - v) == pytest.approx(solve_node(g, v), abs=1e-12)
+
+
+def assert_solve_all_is_bit_identical(g):
+    d = g.dense
+    probs = solve_all(g)
+    assert list(probs) == d.ids
+    for row, v in enumerate(d.ids):
+        assert probs[v].hex() == _solve_index(d, row)[0].hex(), v
+
+
+@st.composite
+def shared_work_graphs(draw):
+    """Graphs that exercise what ``solve_all`` shares across origins.
+
+    Kinds are drawn per id, so leaf ids interleave with interior ones and
+    some leaf parents come after interior ones. Some interior nodes form
+    a directed cycle of two to four nodes fed by a single-child chain.
+    Most other edges run from a lower id into an interior node, which
+    builds shared acyclic ancestry; a few run anywhere, self-edges
+    included. Interior nodes that draw no edge stay parentless.
+    Probabilities lie on a grid of twentieths, 0 and 1 included.
+    """
+    n = draw(st.integers(1, 14))
+    kinds = draw(st.lists(st.sampled_from((L, A, O)), min_size=n, max_size=n))
+    prob = st.integers(0, 20).map(lambda k: k / 20)
+    nodes = [Node(v, kinds[v], "", draw(prob)) for v in range(n)]
+    interior = [v for v in range(n) if kinds[v] is not L]
+    if not interior:
+        return AttackGraph(nodes, [])
+    order = draw(st.permutations(interior))
+    c = draw(st.sampled_from((0, 2, 3, 4)))
+    c = c if c <= len(order) else 0
+    h = draw(st.integers(0, min(3, len(order) - c)))
+    cycle, chain = order[:c], order[c : c + h]
+    edges = {(cycle[k - 1], cycle[k]) for k in range(c)}
+    if cycle and chain:
+        edges |= set(zip(chain, chain[1:] + [cycle[0]]))
+    later = [v for v in interior if v > 0]
+    if later:
+        pick = st.sampled_from(later)
+        forward = pick.flatmap(lambda v: st.tuples(st.integers(0, v - 1), st.just(v)))
+        edges |= set(draw(st.lists(forward, min_size=n, max_size=3 * n)))
+    anywhere = st.tuples(st.integers(0, n - 1), st.sampled_from(interior))
+    edges |= set(draw(st.lists(anywhere, max_size=2)))
+    return AttackGraph(nodes, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_work_graphs())
+def test_solve_all_is_bit_identical_to_the_rooted_recursion(g):
+    assert_solve_all_is_bit_identical(g)
+
+
+@pytest.mark.parametrize("cyclicity", [0, 40, 100])
+def test_solve_all_is_bit_identical_on_generated_graphs(cyclicity):
+    assert_solve_all_is_bit_identical(generate(GenParams(n=1000, cyclicity=cyclicity, seed=0)))

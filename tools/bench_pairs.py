@@ -1,0 +1,107 @@
+"""Run alternating parent/change benchmark pairs and write a BENCH file.
+
+For each seed, ``python3 perfbench/run.py --workload W --seed N`` runs once
+in the parent checkout and once in the change checkout; the side that runs
+first alternates from seed to seed. Every run's end-to-end metrics are
+kept, with each side's median and interquartile range and the number of
+pairs the change wins (metric directions come from BENCHMARK.json).
+Workloads already in OUT are kept, so workloads can be run one at a time.
+
+Run from the repository root, with both checkouts as plain directories:
+
+    python3 tools/bench_pairs.py PARENT CHANGE OUT.json \\
+        --runs solve-cyclic:700-710 --runs exact-cyclic:800-802 \\
+        --change "what the change does" --claim solve-cyclic:op_s_p50
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    env = json.loads(lines[0].removeprefix("environment "))
+    last = json.loads(lines[-1])
+    values = {name: entry["value"] for name, entry in last["metrics"].items()}
+    machine = (f"{env['nproc']}-CPU {env['cpu_model']}; "
+               f"Python {env['python']}, numpy {env['numpy']}")
+    return {"machine": machine, "failed": last["failed"], "attempted": last["attempted"],
+            **values}
+
+
+def summary(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    return {
+        "parent": [round(x, 4) for x in parent],
+        "change": [round(x, 4) for x in change],
+        "parent_median": round(statistics.median(parent), 4),
+        "parent_iqr": round(q3 - q1, 4),
+        "change_median": round(statistics.median(change), 4),
+        "change_better_pairs": wins,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change_dir", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--runs", action="append", required=True,
+                        help="WORKLOAD:FIRST-LAST, an inclusive seed range")
+    parser.add_argument("--change", default="", help="one line on what the change does")
+    parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
+    args = parser.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update({
+        "change": args.change or doc.get("change", ""),
+        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
+                   "(default --seconds 24, --trace 0)",
+        "method": "alternating parent/change pairs, the side that runs first alternating "
+                  "from seed to seed; one perfbench run per side and seed; values are the "
+                  "run's end-to-end metrics (times scaled to the reference speed, see "
+                  "perfbench/run.py REF_PROGRAM)",
+    })
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        doc["claim"] = {"workload": workload, "metric": metric}
+    workloads = doc.setdefault("workloads", {})
+    for spec in args.runs:
+        workload, seeds = spec.split(":")
+        first, last = (int(s) for s in seeds.split("-"))
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for k, seed in enumerate(range(first, last + 1)):
+            sides = [("parent", args.parent), ("change", args.change_dir)]
+            for side, checkout in sides if k % 2 == 0 else sides[::-1]:
+                runs[side].append(run_once(checkout, workload, seed))
+                print(workload, seed, side, json.dumps(runs[side][-1]), flush=True)
+        entry = {"seeds": list(range(first, last + 1))}
+        for side in runs:
+            entry.setdefault("failed", {})[side] = [r["failed"] for r in runs[side]]
+            entry.setdefault("attempted", {})[side] = [r["attempted"] for r in runs[side]]
+        for metric, is_lower in lower.items():
+            entry[metric] = summary([r[metric] for r in runs["parent"]],
+                                    [r[metric] for r in runs["change"]], is_lower)
+        workloads[workload] = entry
+        doc["machine"] = runs["change"][-1]["machine"]
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
