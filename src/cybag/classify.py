@@ -10,12 +10,13 @@ such a cycle genuinely feeds the target and cannot be cut. Type 3 reports
 carry a witness: the instantiation, the early cycle node, and the tick at
 which it was already on.
 
-Classification enumerates instantiations exhaustively (the definitions
-quantify over all of them; sampling could not certify the universal
-cases), so it is limited to graphs with at most ``CLASSIFY_ENUM_LIMIT``
-fractional inputs. :func:`classify_cycles` runs that enumeration once,
-in the circuit engine's tick mode, and reads every cycle's type and
-witness off the same first-hit ticks; :func:`classify_cycle` and
+Type 1 needs no enumeration: the least fixed point is monotone in the
+primed inputs, so one evaluation with every input of probability > 0
+switched on shows which nodes can ever turn on. The Type 2/3 split
+quantifies over all instantiations (sampling could not certify the
+universal case), so :func:`classify_cycles` enumerates them
+exhaustively, once, in the circuit engine's tick mode, on graphs with at
+most ``CLASSIFY_ENUM_LIMIT`` fractional inputs. :func:`classify_cycle` and
 :func:`classify_all` are thin wrappers over it.
 """
 
@@ -72,62 +73,55 @@ def classify_cycles(
 ) -> list[CycleReport]:
     """Classify every cycle, relative to ``target`` for the Type 2/3 split.
 
-    One enumeration of the instantiations serves all cycles. Only
-    instantiations in the support of the input distribution are
-    considered: inputs with probability 0 or 1 are pinned. A Type 3
-    witness is the first such instantiation in enumeration order, the
-    smallest cycle node on before the target, and the tick before the
-    target's first hit. Without a target, a cycle that can fire cannot be
-    split into Type 2 or 3 and its report has ``cycle_type`` None.
+    Only instantiations in the support of the input distribution count:
+    inputs with probability 0 or 1 are pinned. A cycle is Type 1 when one
+    of its nodes never fires with every input of probability > 0 on. A
+    Type 3 witness is the first instantiation in enumeration order that
+    lights a cycle node before the target, the smallest node it lights
+    early, and the tick before the target's first hit. Without a target,
+    a cycle that can fire cannot be split into Type 2 or 3 and its report
+    has ``cycle_type`` None.
     """
     d = graph.dense
     target_row = None if target is None else d.row(target)
     if not cycles:
         return []
-    cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
-    cycle_rows = [[d.row(v) for v in ids] for ids in cycle_ids]
-    on_cycles = sorted({i for rows in cycle_rows for i in rows})
     never = len(d.ids) + 1
-
-    ever_on = np.zeros(len(d.ids), dtype=bool)
-    witnesses: list[tuple[Instantiation, int, int] | None] = [None] * len(cycles)
-    for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
-        for i in on_cycles:
-            ever_on[i] |= bool(hits[i].min() < never)
-        if target_row is None:
-            continue
-        th = hits[target_row]
-        reached = th < never
-        first = np.empty(len(idx), dtype=hits.dtype)
-        for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
-            if witnesses[k] is not None:
-                continue
-            np.copyto(first, hits[rows[0]])
-            for i in rows[1:]:
-                np.minimum(first, hits[i], out=first)
-            early = reached & (first < th)
-            if early.any():
-                m = int(np.argmax(early))
-                k_target = int(th[m])
-                node_j = min(v for v, i in zip(ids, rows) if hits[i, m] < k_target)
-                witnesses[k] = (instantiation_at(graph, int(idx[m])), node_j, k_target - 1)
+    support = first_hit_ticks(
+        graph, Instantiation({v: int(p > 0) for v, p in zip(d.ids, d.probs)})
+    )
+    # row -> (enumeration index, target tick) of its first early column
+    entries: dict[int, tuple[int, int]] = {}
+    if target_row is not None:
+        pending = sorted({d.row(v) for cycle in cycles for v in cycle.node_set})
+        for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
+            th = hits[target_row]
+            reached = th < never
+            early = np.empty(len(idx), dtype=bool)
+            for i in pending:
+                np.less(hits[i], th, out=early)
+                early &= reached
+                if early.any():
+                    m = int(np.argmax(early))
+                    entries[i] = (int(idx[m]), int(th[m]))
+            pending = [i for i in pending if i not in entries]
 
     reports = []
-    for cycle, rows, witness in zip(cycles, cycle_rows, witnesses):
-        if not ever_on[rows].all():
+    for cycle in cycles:
+        members = [(v, d.row(v)) for v in cycle.node_set]
+        found = [(entries[i], v) for v, i in members if i in entries]
+        witness = None
+        if any(support[i] == never for _, i in members):
             cycle_type = CycleType.TYPE1
         elif target is None:
             cycle_type = None
-        elif witness is None:
+        elif not found:
             cycle_type = CycleType.TYPE2
         else:
             cycle_type = CycleType.TYPE3
-        reports.append(
-            CycleReport(
-                cycle, cycle_type, target,
-                witness if cycle_type is CycleType.TYPE3 else None,
-            )
-        )
+            (index, tick), v = min(found)
+            witness = (instantiation_at(graph, index), v, tick - 1)
+        reports.append(CycleReport(cycle, cycle_type, target, witness))
     return reports
 
 

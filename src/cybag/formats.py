@@ -282,12 +282,12 @@ def write_dot(
             raise ValueError(f"probability map is missing nodes {missing}")
     lines = ["digraph attack_graph {"]
     for node in graph.nodes:
-        label = f"{node.id}: {node.label}" if node.label else str(node.id)
+        text = f"{node.id}: {node.label}" if node.label else str(node.id)
+        label = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         if probs is not None:
             label += f"\\nP={probs[node.id]:.4f}"
-        escaped = label.replace('"', '\\"')
         lines.append(
-            f'  n{node.id} [shape={_DOT_SHAPES[node.kind]}, label="{escaped}"];'
+            f'  n{node.id} [shape={_DOT_SHAPES[node.kind]}, label="{label}"];'
         )
     for src, dst in graph.edges:
         lines.append(f"  n{src} -> n{dst};")

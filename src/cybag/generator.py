@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InfeasibleError
-from .formats import write_text
+from .errors import InfeasibleError, TooLargeError
+from .formats import INPUT_LIMIT_BYTES, write_text
 from .graph import AttackGraph, Node, NodeKind
 from .propagate import solve_all
 
@@ -134,6 +134,11 @@ class _Builder:
 
 def generate(params: GenParams) -> AttackGraph:
     """Build one random graph per the parameters; deterministic per seed."""
+    # write_json spends more than 64 bytes on every node, so no command
+    # could read back a larger graph
+    limit = INPUT_LIMIT_BYTES // 64
+    if params.n > limit:
+        raise TooLargeError(f"{params.n} nodes exceed the {limit}-node generator limit")
     n_leaf, n_and, n_or = _counts(params.n, params.ratio)
     leaves = list(range(n_leaf))
     ands = list(range(n_leaf, n_leaf + n_and))

@@ -71,26 +71,14 @@ def parse_cvss_vector(vector: str) -> ComplexityScore:
     Total function: anything that does not parse maps to Unknown.
     """
     text = vector.strip()
-    if text.upper().startswith("CVSS:3."):
-        body = text.split("/", 1)[1] if "/" in text else ""
-        for token in body.split("/"):
-            key, _, val = token.partition(":")
-            if key.upper() == "AC":
-                if val.upper() == "L":
-                    return ComplexityScore(Complexity.LOW, 3)
-                if val.upper() == "H":
-                    return ComplexityScore(Complexity.HIGH, 3)
-        return _UNKNOWN
-    for token in text.split("/"):
-        key, sep, val = token.partition(":")
-        if sep and key.upper() == "AC":
-            mapped = {
-                "L": Complexity.LOW,
-                "M": Complexity.MEDIUM,
-                "H": Complexity.HIGH,
-            }.get(val.upper())
-            if mapped is not None:
-                return ComplexityScore(mapped, 2)
+    v3 = text.upper().startswith("CVSS:3.")
+    levels = {"L": Complexity.LOW, "H": Complexity.HIGH}
+    if not v3:
+        levels["M"] = Complexity.MEDIUM
+    for token in text.split("/")[v3:]:
+        key, _, val = token.partition(":")
+        if key.upper() == "AC" and val.upper() in levels:
+            return ComplexityScore(levels[val.upper()], 3 if v3 else 2)
     return _UNKNOWN
 
 

@@ -1,8 +1,20 @@
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybag import circuit
-from cybag.circuit import Instantiation, instantiation_at, reachability_exact
+from cybag.circuit import (
+    Instantiation,
+    enumerate_first_hits,
+    instantiation_at,
+    reachability_exact,
+)
 from cybag.classify import (
+    CLASSIFY_ENUM_LIMIT,
+    CycleReport,
     CycleType,
     classify_all,
     classify_cycle,
@@ -13,6 +25,8 @@ from cybag.classify import (
 from cybag.errors import TargetRequiredError, TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.graph import AttackGraph, CyclePath, Node, NodeKind, find_cycles
+
+from conftest import attack_graphs
 
 
 def hits_by_node(g, inst):
@@ -184,17 +198,22 @@ def count_engine_calls(monkeypatch):
 def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch):
     calls = count_engine_calls(monkeypatch)
     classify_all(load_fixture("running-example.json"), target=14)
-    assert len(calls) == 1
+    assert len(calls) == 2
     g = three_cycles()
     assert len(find_cycles(g)) == 3
     calls.clear()
     classify_all(g, target=6)
-    assert calls == [128]
+    # one column for Type 1, then the enumeration for the Type 2/3 split
+    assert calls == [1, 128]
     # 7 nodes with int8 ticks, 16 columns a chunk: 8 chunks for 3 cycles
     monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 7 * 16)
     calls.clear()
     classify_all(g, target=6)
-    assert calls == [16] * 8
+    assert calls == [1] + [16] * 8
+    # without a target nothing is enumerated
+    calls.clear()
+    assert [r.cycle_type for r in classify_cycles(g, find_cycles(g))] == [None] * 3
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("target", [4, 5, 6])
@@ -215,3 +234,85 @@ def test_classify_cycles_without_target():
     assert r1.cycle_type is CycleType.TYPE1
     (r2,) = classify_cycles(g2, find_cycles(g2))
     assert r2.cycle_type is None and r2.witness is None
+
+
+def reference_classify_cycles(graph, cycles, target=None):
+    """Per-cycle classification over every instantiation: Type 1 from the
+    first-hit ticks of the whole enumeration, the Type 3 witness from the
+    first column where any cycle node beats the target."""
+    d = graph.dense
+    target_row = None if target is None else d.row(target)
+    if not cycles:
+        return []
+    cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
+    cycle_rows = [[d.row(v) for v in ids] for ids in cycle_ids]
+    never = len(d.ids) + 1
+    ever_on = np.zeros(len(d.ids), dtype=bool)
+    witnesses = [None] * len(cycles)
+    for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
+        ever_on |= hits.min(axis=1) < never
+        if target_row is None:
+            continue
+        th = hits[target_row]
+        for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
+            early = (th < never) & (hits[rows].min(axis=0) < th)
+            if witnesses[k] is None and early.any():
+                m = int(np.argmax(early))
+                k_target = int(th[m])
+                node_j = min(v for v, i in zip(ids, rows) if hits[i, m] < k_target)
+                witnesses[k] = (instantiation_at(graph, int(idx[m])), node_j, k_target - 1)
+    reports = []
+    for cycle, rows, witness in zip(cycles, cycle_rows, witnesses):
+        if not ever_on[rows].all():
+            cycle_type = CycleType.TYPE1
+        elif target is None:
+            cycle_type = None
+        else:
+            cycle_type = CycleType.TYPE2 if witness is None else CycleType.TYPE3
+        reports.append(
+            CycleReport(
+                cycle, cycle_type, target,
+                witness if cycle_type is CycleType.TYPE3 else None,
+            )
+        )
+    return reports
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """Graphs of up to 10 nodes, mostly Or, rich in cycles and in entries
+    to them, with inputs at 0, 1 and in between, so that every cycle type
+    and early witness shows up."""
+    n_leaf = draw(st.integers(1, 3))
+    n = n_leaf + draw(st.integers(2, 7))
+    probs = st.sampled_from([0.5, 1.0, 0.25, 0.0])
+    nodes = [Node(v, NodeKind.LEAF, "", draw(probs)) for v in range(n_leaf)]
+    nodes += [
+        Node(
+            v,
+            draw(st.sampled_from([NodeKind.OR, NodeKind.OR, NodeKind.AND])),
+            "",
+            draw(st.sampled_from([1.0, 0.5, 1.0, 0.5, 0.0])),
+        )
+        for v in range(n_leaf, n)
+    ]
+    fed = draw(st.sets(st.integers(n_leaf, n - 1), min_size=1))
+    entries = [(v % n_leaf, v) for v in sorted(fed)]
+    inner = [(u, v) for v in range(n_leaf, n) for u in range(n_leaf, n) if u != v]
+    edges = draw(
+        st.lists(st.sampled_from(inner), unique=True, min_size=n - n_leaf, max_size=2 * n)
+    )
+    return AttackGraph(nodes, entries + edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(attack_graphs(max_nodes=9), cyclic_graphs()))
+def test_classify_cycles_matches_the_reference(g):
+    cycles = find_cycles(g)
+    for target in [None, *g.node_ids]:
+        expected = reference_classify_cycles(g, cycles, target)
+        assert classify_cycles(g, cycles, target) == expected
+        # a few columns a chunk: the first early column of each row may
+        # fall in any chunk
+        with mock.patch.object(circuit, "CHUNK_BUDGET_BYTES", 64):
+            assert classify_cycles(g, cycles, target) == expected

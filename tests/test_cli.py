@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -309,7 +310,45 @@ def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert run(["cycles", "--in", str(path)]) == 0
     assert capsys.readouterr().out.count("needs-target") == 3
-    assert len(calls) == 2
+    # one column for Type 1 per command, one chunk for the Type 2/3 split
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "10000000000", "--cyclicity", "0", "--out", "{out}"],
+        ["bench", "--sizes", "10000000000", "--cyclicities", "0", "--reps", "1", "--out", "{out}"],
+    ],
+    ids=["generate", "bench"],
+)
+def test_huge_generated_graph_hits_the_limit_up_front(argv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    start = time.perf_counter()
+    assert run([a.replace("{out}", out) for a in argv]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "TOO_LARGE" in capsys.readouterr().err
+
+
+def test_cycles_without_target_past_the_enumeration_limit(tmp_path, capsys):
+    # 21 fractional leaves feed the Or cycle 21 <-> 22; the And cycle
+    # 24 <-> 25 hangs off a leaf that is never on
+    doc = {
+        "version": "1",
+        "nodes": [{"id": v, "kind": "leaf", "label": "", "p": "0.5"} for v in range(21)]
+        + [{"id": v, "kind": "or", "label": "", "p": "1"} for v in (21, 22)]
+        + [{"id": 23, "kind": "leaf", "label": "", "p": "0"}]
+        + [{"id": 24, "kind": "and", "label": "", "p": "1"}]
+        + [{"id": 25, "kind": "or", "label": "", "p": "1"}],
+        "edges": [[v, 21] for v in range(21)]
+        + [[21, 22], [22, 21], [23, 24], [24, 25], [25, 24]],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cycles", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "21,22,21\tneeds-target\n24,25,24\ttype1\n"
+    assert run(["cycles", "--in", str(path), "--target", "22"]) == 3
+    assert "TOO_LARGE" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -275,6 +276,25 @@ def test_write_dot_shapes_and_probs(tmp_path, fig5, diamond):
     out2 = tmp_path / "f.dot"
     write_dot(fig5, out2, solve_all(fig5))
     assert "P=0.3360" in out2.read_text()
+
+
+def test_write_dot_escapes_backslashes_quotes_and_newlines(tmp_path):
+    labels = ["a\\", 'say "hi"', "two\nlines", "C:\\Net"]
+    g = AttackGraph([Node(v, NodeKind.LEAF, lab, 0.5) for v, lab in enumerate(labels)], [])
+    out = tmp_path / "esc.dot"
+    write_dot(g, out, {v: 0.5 for v in range(4)})
+    lines = out.read_text().splitlines()
+    assert lines[1:5] == [
+        r'  n0 [shape=box, label="0: a\\\nP=0.5000"];',
+        r'  n1 [shape=box, label="1: say \"hi\"\nP=0.5000"];',
+        r'  n2 [shape=box, label="2: two\nlines\nP=0.5000"];',
+        r'  n3 [shape=box, label="3: C:\\Net\nP=0.5000"];',
+    ]
+    # every label is one well-formed DOT string that reads back to the text
+    for v, line in enumerate(lines[1:5]):
+        (body,) = re.fullmatch(r'.*label="((?:[^"\\\n]|\\.)*)"\];', line).groups()
+        unescaped = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], body)
+        assert unescaped == f"{v}: {labels[v]}\nP=0.5000"
 
 
 def test_write_dot_incomplete_probs(tmp_path, fig5):

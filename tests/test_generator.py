@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cybag import generator
-from cybag.errors import InfeasibleError
+from cybag.errors import InfeasibleError, TooLargeError
+from cybag.formats import INPUT_LIMIT_BYTES, write_json
 from cybag.generator import (
     BenchRow,
     GenParams,
@@ -18,7 +19,7 @@ from cybag.generator import (
     nodes_on_cycles,
     write_bench_csv,
 )
-from cybag.graph import NodeKind, find_cycles, topological_order, validate
+from cybag.graph import AttackGraph, Node, NodeKind, find_cycles, topological_order, validate
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
 
@@ -200,3 +201,16 @@ def test_bench_csv_format(tmp_path):
     assert lines[1] == "50,0,0,0.123457,0"
     assert lines[2] == "50,100,1,0.200000,12"
     assert "\r" not in text
+
+
+def test_node_limit_is_what_a_reader_could_take_back(tmp_path):
+    # write_json spends more than 64 bytes even on the shortest record (a
+    # one-digit id, an Or, no label, p 1) and about 90 on a generated one,
+    # so a graph past INPUT_LIMIT_BYTES // 64 nodes could not be read back
+    shortest = AttackGraph([Node(v, O, "", 1.0) for v in range(10)], [])
+    write_json(shortest, tmp_path / "short.json")
+    assert (tmp_path / "short.json").stat().st_size > 64 * 10
+    write_json(generate(GenParams(n=100, cyclicity=50)), tmp_path / "gen.json")
+    assert (tmp_path / "gen.json").stat().st_size > 64 * 100
+    with pytest.raises(TooLargeError, match="generator limit"):
+        generate(GenParams(n=INPUT_LIMIT_BYTES // 64 + 1, cyclicity=50))

@@ -66,6 +66,22 @@ def test_parse_fallbacks():
     assert parse_cvss_vector("AV:N/Au:N") == unknown
     # v3 has no Medium
     assert parse_cvss_vector("CVSS:3.1/AV:N/AC:M/PR:N") == unknown
+    # a v3 prefix with no components, and AC tokens without a value
+    assert parse_cvss_vector("CVSS:3.1") == unknown
+    assert parse_cvss_vector("CVSS:3.1AC:L") == unknown
+    assert parse_cvss_vector("AV:N/AC/Au:N") == unknown
+    assert parse_cvss_vector("CVSS:3.0/AC/PR:N") == unknown
+
+
+def test_parse_is_case_insensitive():
+    assert parse_cvss_vector("cvss:3.0/ac:l") == score(Complexity.LOW, 3)
+    assert parse_cvss_vector("av:n/ac:m/au:n") == score(Complexity.MEDIUM, 2)
+
+
+def test_parse_takes_the_first_valid_ac_token():
+    assert parse_cvss_vector("AV:N/AC:X/AC:H") == score(Complexity.HIGH, 2)
+    assert parse_cvss_vector("CVSS:3.1/AC:M/AC:H") == score(Complexity.HIGH, 3)
+    assert parse_cvss_vector("AV:N/AC:L/AC:H") == score(Complexity.LOW, 2)
 
 
 def test_cve_record_pattern():
