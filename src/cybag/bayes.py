@@ -13,8 +13,8 @@ one parent is true. Cyclic graphs are not Bayesian networks and raise
 elimination over dense numpy factors, and :func:`brute_force_marginal`
 re-derives the same number by enumerating the full joint, so the two can
 cross-check each other. Both are oracles for small graphs only; variable
-elimination refuses to materialize tables wider than ``WIDTH_LIMIT``
-parents and brute force is capped at 24 variables.
+elimination refuses every table wider than a ``WIDTH_LIMIT``-parent node
+table, products included, and brute force is capped at 24 variables.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def node_factor(graph: AttackGraph, v: int) -> Factor:
     Wide gates stay symbolic: a table over more than ``WIDTH_LIMIT``
     parent axes is refused with :class:`WidthLimitError`.
     """
-    node = graph.nodes[graph.dense.row(v)]
+    node = graph.node(v)
     parents = graph.parents[v]
     k = len(parents)
     if k > WIDTH_LIMIT:
@@ -141,7 +141,8 @@ def eliminate(
 
     The result does not depend on the order; a custom one must be a
     permutation of the remaining variables or :class:`BadOrderError` is
-    raised.
+    raised. A product over more than ``WIDTH_LIMIT + 1`` variables is
+    refused with :class:`WidthLimitError` before it is built.
     """
     _require_acyclic(graph)
     graph.dense.row(query)
@@ -167,6 +168,12 @@ def eliminate(
         if not keys:
             continue
         involved = [factors.pop(key) for key in keys]
+        width = len(set().union(*(f.scope for f in involved)))
+        if width > WIDTH_LIMIT + 1:
+            raise WidthLimitError(
+                f"eliminating node {var} needs a {width}-variable table; "
+                f"tables over more than {WIDTH_LIMIT + 1} variables are not materialized"
+            )
         product = involved[0]
         for f in involved[1:]:
             product = product.multiply(f)

@@ -14,10 +14,12 @@ Type 1 needs no enumeration: the least fixed point is monotone in the
 primed inputs, so one evaluation with every input of probability > 0
 switched on shows which nodes can ever turn on. The Type 2/3 split
 quantifies over all instantiations (sampling could not certify the
-universal case), so :func:`classify_cycles` enumerates them
-exhaustively, once, in the circuit engine's tick mode, on graphs with at
-most ``CLASSIFY_ENUM_LIMIT`` fractional inputs. :func:`classify_cycle` and
-:func:`classify_all` are thin wrappers over it.
+universal case), so :func:`classify_cycles` enumerates them in order,
+once, in the circuit engine's tick mode, on graphs with at most
+``CLASSIFY_ENUM_LIMIT`` fractional inputs. It stops as soon as every
+cycle that is not Type 1 has a witness, and enumerates nothing when all
+are Type 1. :func:`classify_cycle` and :func:`classify_all` are thin
+wrappers over it.
 """
 
 from __future__ import annotations
@@ -90,28 +92,34 @@ def classify_cycles(
     support = first_hit_ticks(
         graph, Instantiation({v: int(p > 0) for v, p in zip(d.ids, d.probs)})
     )
+    members = [[(v, d.row(v)) for v in cycle.node_set] for cycle in cycles]
+    type1 = [any(support[i] == never for _, i in rows) for rows in members]
     # row -> (enumeration index, target tick) of its first early column
     entries: dict[int, tuple[int, int]] = {}
-    if target_row is not None:
-        pending = sorted({d.row(v) for cycle in cycles for v in cycle.node_set})
+    # Member rows of each cycle still undecided: not Type 1 and no member
+    # with an entry yet. Later chunks hold only larger indices, so once a
+    # member has an entry the cycle's witness is final.
+    live = [] if target_row is None else [m for m, t1 in zip(members, type1) if not t1]
+    if live:
         for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
             th = hits[target_row]
             reached = th < never
             early = np.empty(len(idx), dtype=bool)
-            for i in pending:
+            for i in sorted({i for rows in live for _, i in rows}):
                 np.less(hits[i], th, out=early)
                 early &= reached
                 if early.any():
                     m = int(np.argmax(early))
                     entries[i] = (int(idx[m]), int(th[m]))
-            pending = [i for i in pending if i not in entries]
+            live = [rows for rows in live if not any(i in entries for _, i in rows)]
+            if not live:
+                break
 
     reports = []
-    for cycle in cycles:
-        members = [(v, d.row(v)) for v in cycle.node_set]
-        found = [(entries[i], v) for v, i in members if i in entries]
+    for cycle, rows, t1 in zip(cycles, members, type1):
+        found = [(entries[i], v) for v, i in rows if i in entries]
         witness = None
-        if any(support[i] == never for _, i in members):
+        if t1:
             cycle_type = CycleType.TYPE1
         elif target is None:
             cycle_type = None

@@ -66,9 +66,21 @@ def _load_graph(path) -> AttackGraph:
     return graph
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        formats.write_text(out_path, text)
+def _write_rows(args, fields: tuple[str, ...], rows, key: str | None = None) -> None:
+    """Write result rows to ``--out`` or stdout.
+
+    TSV is one tab-joined line per row. JSON is one object per row,
+    ``dict(zip(fields, row))``, listed under ``key``; without a key the
+    one row's object is printed. A row may be shorter than ``fields``.
+    """
+    if getattr(args, "format", "tsv") == "json":
+        objects = [dict(zip(fields, row)) for row in rows]
+        text = json.dumps({key: objects} if key else objects[0], indent=2) + "\n"
+    else:
+        text = "".join("\t".join(map(str, row)) + "\n" for row in rows)
+    out = getattr(args, "out", None)
+    if out:
+        formats.write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -81,17 +93,8 @@ def _cmd_solve(args) -> int:
         values = {args.node: propagate.solve_node(graph, args.node)}
     else:
         values = propagate.solve_all(graph)
-    if args.format == "json":
-        payload = [
-            {"node": v, "probability": _fmt(p, args.precision)}
-            for v, p in sorted(values.items())
-        ]
-        text = json.dumps({"probabilities": payload}, indent=2) + "\n"
-    else:
-        text = "".join(
-            f"{v}\t{_fmt(p, args.precision)}\n" for v, p in sorted(values.items())
-        )
-    _emit(text, args.out)
+    rows = [(v, _fmt(p, args.precision)) for v, p in sorted(values.items())]
+    _write_rows(args, ("node", "probability"), rows, "probabilities")
     return EXIT_OK
 
 
@@ -100,7 +103,7 @@ def _cmd_ve(args) -> int:
 
     graph = _load_graph(args.infile)
     value = bayes.eliminate(graph, args.node)
-    sys.stdout.write(f"{args.node}\t{_fmt(value, args.precision)}\n")
+    _write_rows(args, ("node", "probability"), [(args.node, _fmt(value, args.precision))])
     return EXIT_OK
 
 
@@ -112,20 +115,9 @@ def _cmd_circuit(args) -> int:
         est = circuit.reachability_mc(graph, args.node, args.mc, args.seed)
     else:
         est = circuit.reachability_exact(graph, args.node)
-    if args.format == "json":
-        payload = {
-            "node": args.node,
-            "probability": _fmt(est.probability, args.precision),
-            "method": est.method,
-            "samples": est.samples,
-            "std_error": _fmt(est.std_error, args.precision),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write(
-            f"{args.node}\t{_fmt(est.probability, args.precision)}\t{est.method}"
-            f"\t{est.samples}\t{_fmt(est.std_error, args.precision)}\n"
-        )
+    p = args.precision
+    row = (args.node, _fmt(est.probability, p), est.method, est.samples, _fmt(est.std_error, p))
+    _write_rows(args, ("node", "probability", "method", "samples", "std_error"), [row])
     return EXIT_OK
 
 
@@ -163,26 +155,15 @@ def _cmd_cycles(args) -> int:
     rows = []
     for report in classify.classify_cycles(graph, found, args.target):
         kind = report.cycle_type
-        entry = {
-            "cycle": ",".join(str(v) for v in report.cycle.nodes),
-            "type": kind.name.lower() if kind is not None else "needs-target",
-        }
+        row = (
+            ",".join(str(v) for v in report.cycle.nodes),
+            kind.name.lower() if kind is not None else "needs-target",
+        )
         if report.witness is not None:
             _, node_j, k = report.witness
-            entry["witness_node"] = str(node_j)
-            entry["witness_k"] = str(k)
-        rows.append(entry)
-    if args.format == "json":
-        sys.stdout.write(json.dumps({"cycles": rows}, indent=2) + "\n")
-    else:
-        for entry in rows:
-            fields = [
-                entry["cycle"],
-                entry.get("type", ""),
-                entry.get("witness_node", ""),
-                entry.get("witness_k", ""),
-            ]
-            sys.stdout.write("\t".join(fields).rstrip("\t") + "\n")
+            row += (str(node_j), str(k))
+        rows.append(row)
+    _write_rows(args, ("cycle", "type", "witness_node", "witness_k"), rows, "cycles")
     return EXIT_OK
 
 

@@ -32,8 +32,8 @@ from .graph import AttackGraph, Node, NodeKind, PlainBag
 FORMAT_VERSION = "1"
 INPUT_LIMIT_BYTES = 64 * 1024 * 1024
 
-_KIND_NAMES = {NodeKind.LEAF: "leaf", NodeKind.AND: "and", NodeKind.OR: "or"}
-_KINDS_BY_NAME = {v: k for k, v in _KIND_NAMES.items()}
+# JSON documents spell a kind by its value, MulVAL CSV files by its name
+_KINDS_BY_VALUE = {k.value: k for k in NodeKind}
 
 
 def read_text(path) -> str:
@@ -137,7 +137,7 @@ def document_to_graph(doc) -> AttackGraph:
             raise SchemaError("node must be an object", where)
         nid = _parse_id(item.get("id"), f"{where}.id", ids)
         raw_kind = item.get("kind")
-        kind = _KINDS_BY_NAME.get(raw_kind) if isinstance(raw_kind, str) else None
+        kind = _KINDS_BY_VALUE.get(raw_kind) if isinstance(raw_kind, str) else None
         if kind is None:
             raise SchemaError(f"kind must be leaf/and/or, got {raw_kind!r}", f"{where}.kind")
         label = item.get("label", "")
@@ -158,7 +158,7 @@ def graph_to_document(graph: AttackGraph, notes: str | None = None) -> dict:
     doc["nodes"] = [
         {
             "id": n.id,
-            "kind": _KIND_NAMES[n.kind],
+            "kind": n.kind.value,
             "label": n.label,
             "p": repr(n.local_prob),
         }
@@ -221,9 +221,6 @@ def read_plain_json(path) -> PlainBag:
     return plain_document_to_bag(load_json(path))
 
 
-_MULVAL_KINDS = {"LEAF": NodeKind.LEAF, "AND": NodeKind.AND, "OR": NodeKind.OR}
-
-
 def _csv_rows(path):
     """Non-empty rows of a CSV file, each with its ``(path, line)``."""
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
@@ -256,7 +253,7 @@ def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
             raise _fail(where, f"expected 4 fields id,label,kind,p, got {len(row)}")
         raw_id, label, raw_kind, raw_p = row
         nid = _parse_id(_csv_int(raw_id), where, ids)
-        kind = _MULVAL_KINDS.get(raw_kind.strip())
+        kind = NodeKind.__members__.get(raw_kind.strip())
         if kind is None:
             raise _fail(where, f"unknown node kind {raw_kind!r}")
         nodes.append(Node(nid, kind, label, _parse_prob(raw_p, where)))

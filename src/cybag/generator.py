@@ -73,9 +73,10 @@ def _counts(n: int, ratio: tuple[float, float, float]) -> tuple[int, int, int]:
 
 
 def nodes_on_cycles(graph: AttackGraph) -> set[int]:
-    """Ids of all nodes inside a strongly connected component of size >= 2."""
+    """Ids of all nodes on a directed cycle: the members of the cyclic
+    components, a node with a self-edge, a one-node cycle, included."""
     d = graph.dense
-    return {d.ids[i] for members, _ in d.blocks if len(members) >= 2 for i in members}
+    return {d.ids[i] for members, cyclic in d.blocks if cyclic for i in members}
 
 
 def cyclic_or_fraction(graph: AttackGraph) -> float:

@@ -73,10 +73,6 @@ class AttackGraph:
         )
 
     @cached_property
-    def node_map(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
     def node_ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes)
 
@@ -99,13 +95,14 @@ class AttackGraph:
         return {v: tuple(sorted(cs)) for v, cs in ch.items()}
 
     def node(self, node_id: int) -> Node:
-        return self.node_map[node_id]
+        """The node with id ``node_id``; raises :class:`UnknownNodeError` if absent."""
+        return self.nodes[self.dense.row(node_id)]
 
     def kind(self, node_id: int) -> NodeKind:
-        return self.node_map[node_id].kind
+        return self.node(node_id).kind
 
     def local_prob(self, node_id: int) -> float:
-        return self.node_map[node_id].local_prob
+        return self.node(node_id).local_prob
 
     def replace_probs(self, probs: Mapping[int, float]) -> "AttackGraph":
         """New graph with the given nodes' local probabilities replaced."""
@@ -128,19 +125,22 @@ class DenseIndex:
     """Nodes as rows 0..n-1 in ascending id order, for the engines' inner loops.
 
     ``kinds`` holds ``KIND_*`` codes, ``probs`` local probabilities and
-    ``parents`` the ascending parent rows of each row.
+    ``parents`` the ascending parent rows of each row, built on first use
+    so that node lookups and :func:`validate` never pay for them.
     """
 
     def __init__(self, graph: AttackGraph):
+        self._graph = graph
         self.ids = list(graph.node_ids)
         self.index = {v: i for i, v in enumerate(self.ids)}
         codes = {NodeKind.LEAF: KIND_LEAF, NodeKind.AND: KIND_AND, NodeKind.OR: KIND_OR}
         self.kinds = [codes[n.kind] for n in graph.nodes]
         self.probs = [n.local_prob for n in graph.nodes]
+
+    @cached_property
+    def parents(self) -> list[tuple[int, ...]]:
         # ids are ascending, so ascending parent ids map to ascending rows
-        self.parents = [
-            tuple(self.index[p] for p in graph.parents[v]) for v in self.ids
-        ]
+        return [tuple(self.index[p] for p in self._graph.parents[v]) for v in self.ids]
 
     def row(self, v: int) -> int:
         """Row of node ``v``; raises :class:`UnknownNodeError` if absent."""
@@ -242,13 +242,14 @@ class PlainBag:
 class CyclePath:
     """A simple directed cycle, canonicalized to start at its smallest node id.
 
-    ``nodes`` lists the cycle with the first id repeated at the end.
+    ``nodes`` lists the cycle with the first id repeated at the end; a
+    self-edge is the one-node cycle ``(v, v)``.
     """
 
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.nodes) < 3 or self.nodes[0] != self.nodes[-1]:
+        if len(self.nodes) < 2 or self.nodes[0] != self.nodes[-1]:
             raise ValueError(f"not a closed path: {self.nodes}")
         interior = self.nodes[:-1]
         if len(set(interior)) != len(interior):
@@ -304,11 +305,11 @@ def validate(graph: AttackGraph) -> ValidationReport:
             )
         seen.add(node.id)
 
-    known = {n.id for n in graph.nodes}
+    index, kinds = graph.dense.index, graph.dense.kinds
     seen_edges: set[tuple[int, int]] = set()
     for edge in graph.edges:
         src, dst = edge
-        if src not in known or dst not in known:
+        if src not in index or dst not in index:
             report.errors.append(
                 Issue("DANGLING_EDGE", edge, f"edge {edge} references an unknown node")
             )
@@ -320,7 +321,7 @@ def validate(graph: AttackGraph) -> ValidationReport:
             report.errors.append(Issue("DUPLICATE_EDGE", edge, f"duplicate edge {edge}"))
             continue
         seen_edges.add(edge)
-        if graph.node_map[dst].kind is NodeKind.LEAF:
+        if kinds[index[dst]] == KIND_LEAF:
             report.errors.append(
                 Issue("LEAF_HAS_PARENT", edge, f"leaf node {dst} has incoming edge from {src}")
             )
@@ -348,7 +349,8 @@ def topological_order(graph: AttackGraph) -> list[int] | None:
 
 
 def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[CyclePath]:
-    """All simple directed cycles, each starting at its smallest node id.
+    """All simple directed cycles, each starting at its smallest node id;
+    a self-edge is the one-node cycle ``(v, v)``.
 
     Johnson's blocked search (Johnson 1975) runs along parent rows from the
     smallest row of each cyclic component; that row is then dropped and

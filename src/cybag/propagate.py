@@ -37,7 +37,7 @@ import math
 from typing import Iterable
 
 from .errors import GraphCyclicError
-from .graph import KIND_AND, KIND_LEAF, AttackGraph, DenseIndex, NodeKind, topological_order
+from .graph import KIND_AND, KIND_LEAF, AttackGraph, DenseIndex
 
 
 def conjunction(probs: Iterable[float]) -> float:
@@ -214,17 +214,14 @@ def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:
     Exact match for :func:`solve_all` on loop-free graphs and a fast path
     for any DAG. Raises :class:`GraphCyclicError` on cyclic input.
     """
-    order = topological_order(graph)
-    if order is None:
+    d = graph.dense
+    if any(cyclic for _, cyclic in d.blocks):
         raise GraphCyclicError("closed-form evaluation requires an acyclic graph")
-    probs: dict[int, float] = {}
-    for v in order:
-        node = graph.node_map[v]
-        ps = graph.parents[v]
-        if node.kind is NodeKind.LEAF:
-            probs[v] = node.local_prob
-        elif node.kind is NodeKind.AND:
-            probs[v] = node.local_prob * conjunction(probs[p] for p in ps)
-        else:
-            probs[v] = node.local_prob * disjunction(probs[p] for p in ps)
-    return probs
+    values = d.probs[:]
+    # an acyclic graph's components are single rows in topological order
+    for (v,), _ in d.blocks:
+        if d.kinds[v] == KIND_AND:
+            values[v] *= conjunction(values[p] for p in d.parents[v])
+        elif d.kinds[v] != KIND_LEAF:
+            values[v] *= disjunction(values[p] for p in d.parents[v])
+    return dict(zip(d.ids, values))

@@ -44,6 +44,17 @@ def two_cycle():
     )
 
 
+@pytest.fixture
+def wide_products():
+    """40 leaves and 30 Or nodes with 12 random leaf parents each: every
+    node table is narrow, but variable elimination builds wide products."""
+    rng = random.Random(1)
+    leaves = [Node(v, NodeKind.LEAF, "", 0.5) for v in range(40)]
+    ors = [Node(v, NodeKind.OR, "", 0.9) for v in range(40, 70)]
+    edges = [(p, o.id) for o in ors for p in rng.sample(range(40), 12)]
+    return AttackGraph(leaves + ors, edges)
+
+
 def make_forest(seed: int, n: int) -> AttackGraph:
     """Random loop-free graph: orient the edges of a random tree.
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybag.bayes import (
+    WIDTH_LIMIT,
     brute_force_marginal,
     eliminate,
     elimination_order,
@@ -233,3 +234,9 @@ def test_width_limit_hits_eliminate_not_translation():
         eliminate(g, 21)
     # enumeration never materializes the wide table
     assert brute_force_marginal(g, 21) == pytest.approx(0.5**21, abs=1e-12)
+
+
+def test_width_limit_bounds_every_product(wide_products):
+    assert max(len(ps) for ps in wide_products.parents.values()) <= WIDTH_LIMIT
+    with pytest.raises(WidthLimitError, match="tables over more than 21 variables"):
+        eliminate(wide_products, 69)

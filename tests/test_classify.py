@@ -104,11 +104,12 @@ def test_target_required_for_live_cycle():
 
 
 def test_classification_size_limit():
+    # 21 fractional leaves feed the Or cycle 21 <-> 22, which can fire, so
+    # the Type 2/3 split needs the enumeration
     leaves = [Node(v, NodeKind.LEAF, "", 0.5) for v in range(21)]
-    a = Node(21, NodeKind.AND, "", 1.0)
-    o = Node(22, NodeKind.OR, "", 1.0)
+    ors = [Node(v, NodeKind.OR, "", 1.0) for v in (21, 22)]
     g = AttackGraph(
-        leaves + [a, o],
+        leaves + ors,
         [(v, 21) for v in range(21)] + [(21, 22), (22, 21)],
     )
     (cycle,) = find_cycles(g)
@@ -132,6 +133,26 @@ def test_classify_all_type1():
     g = load_fixture("type1.json")
     reports = classify_all(g, target=3)
     assert [r.cycle_type for r in reports] == [CycleType.TYPE1]
+
+
+def test_classify_all_self_loops():
+    # leaf 0 feeds the Or self-loop 1 and the And self-loop 2; the target
+    # 3 is an Or fed by 1
+    nodes = [
+        Node(0, NodeKind.LEAF, "", 0.5),
+        Node(1, NodeKind.OR, "", 1.0),
+        Node(2, NodeKind.AND, "", 1.0),
+        Node(3, NodeKind.OR, "", 1.0),
+    ]
+    g = AttackGraph(nodes, [(0, 1), (1, 1), (0, 2), (2, 2), (1, 3)])
+    or_loop, and_loop = classify_all(g, target=3)
+    assert or_loop.cycle.nodes == (1, 1) and and_loop.cycle.nodes == (2, 2)
+    assert and_loop.cycle_type is CycleType.TYPE1
+    assert or_loop.cycle_type is CycleType.TYPE3
+    # ticks: leaf 0 fires at 1, node 1 at 2, the target at 3
+    assert or_loop.witness == (Instantiation({0: 1, 1: 1, 2: 1, 3: 1}), 1, 2)
+    assert closing_edge(g, or_loop.cycle) == (1, 1)
+    assert closing_edge(g, and_loop.cycle) == (2, 2)
 
 
 def test_classification_deterministic():
@@ -205,11 +226,13 @@ def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch):
     classify_all(g, target=6)
     # one column for Type 1, then the enumeration for the Type 2/3 split
     assert calls == [1, 128]
-    # 7 nodes with int8 ticks, 16 columns a chunk: 8 chunks for 3 cycles
+    # 7 nodes with int8 ticks, 16 columns a chunk: all three witnesses
+    # have index 98, so the enumeration stops after chunk 7 of 8
     monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 7 * 16)
     calls.clear()
-    classify_all(g, target=6)
-    assert calls == [1] + [16] * 8
+    reports = classify_all(g, target=6)
+    assert [r.witness[0] for r in reports] == [instantiation_at(g, 98)] * 3
+    assert calls == [1] + [16] * 7
     # without a target nothing is enumerated
     calls.clear()
     assert [r.cycle_type for r in classify_cycles(g, find_cycles(g))] == [None] * 3

@@ -330,6 +330,29 @@ def test_huge_generated_graph_hits_the_limit_up_front(argv, tmp_path, capsys):
     assert "TOO_LARGE" in capsys.readouterr().err
 
 
+def test_ve_past_the_width_limit_exits_3(wide_products, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    write_json(wide_products, path)
+    assert run(["ve", "--in", str(path), "--node", "69"]) == 3
+    assert "WIDTH_LIMIT" in capsys.readouterr().err
+
+
+def test_cycles_all_type1_past_the_enumeration_limit(tmp_path, capsys):
+    # 21 fractional leaves feed the And node 21 on the cycle 21 <-> 22,
+    # which never fires: Type 1 needs no enumeration, target or not
+    doc = {
+        "version": "1",
+        "nodes": [{"id": v, "kind": "leaf", "label": "", "p": "0.5"} for v in range(21)]
+        + [{"id": 21, "kind": "and", "label": "", "p": "1"}]
+        + [{"id": 22, "kind": "or", "label": "", "p": "1"}],
+        "edges": [[v, 21] for v in range(21)] + [[21, 22], [22, 21]],
+    }
+    path = tmp_path / "type1.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cycles", "--in", str(path), "--target", "22"]) == 0
+    assert capsys.readouterr().out == "21,22,21\ttype1\n"
+
+
 def test_cycles_without_target_past_the_enumeration_limit(tmp_path, capsys):
     # 21 fractional leaves feed the Or cycle 21 <-> 22; the And cycle
     # 24 <-> 25 hangs off a leaf that is never on

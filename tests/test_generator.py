@@ -85,7 +85,7 @@ def test_generated_graphs_validate():
 def test_wiring_contract():
     g = generate(GenParams(n=200, cyclicity=40, seed=6))
     for node in g.nodes:
-        parents = [g.node_map[p] for p in g.parents[node.id]]
+        parents = [g.node(p) for p in g.parents[node.id]]
         if node.kind is A:
             assert any(p.kind is L for p in parents)
         elif node.kind is O:

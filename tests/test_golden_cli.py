@@ -1,9 +1,11 @@
 """Byte-exact CLI outputs on the bundled cyclic fixtures.
 
 ``golden_cli.json`` maps each command line (fixture name in place of the
-path) to the stdout recorded before the circuit engine moved from
-synchronous sweeps to the condensation-order pass. Any engine change must
-reproduce these bytes. To re-record after an intended output change, run
+path) to its stdout. The ``circuit`` and ``cycles`` outputs were recorded
+before the circuit engine moved from synchronous sweeps to the
+condensation-order pass; the ``solve``, ``compare`` and ``ve`` outputs on
+the acyclic fixtures before the CLI's result rows got one writer. Any
+engine or CLI change must reproduce these bytes. To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
@@ -17,6 +19,8 @@ from cybag.formats import fixture_path, load_fixture
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 FIXTURES = ("type1", "type2", "type3", "running-example", "diamond")
+# acyclic, so that ``ve`` answers on every node
+ACYCLIC = ("fig5", "diamond", "wang-acyclic")
 
 
 def cases() -> list[list[str]]:
@@ -32,6 +36,16 @@ def cases() -> list[list[str]]:
                 ["circuit", "--in", name, "--node", str(ids[-1]), "--mc", "4000",
                  "--seed", "9", "--format", fmt]
             )
+    for name in ACYCLIC:
+        ids = load_fixture(f"{name}.json").node_ids
+        out.append(["solve", "--in", name, "--precision", "17"])
+        for fmt in ("tsv", "json"):
+            out.append(["solve", "--in", name, "--format", fmt])
+            for v in ids:
+                out.append(["solve", "--in", name, "--node", str(v), "--format", fmt])
+                out.append(["compare", "--in", name, "--node", str(v), "--format", fmt])
+        for v in ids:
+            out.append(["ve", "--in", name, "--node", str(v)])
     return out
 
 
@@ -48,7 +62,7 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(" ".join(a) for a in cases())
 
 
-@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("name", sorted(set(FIXTURES + ACYCLIC)))
 def test_cli_output_matches_golden(name, golden, capsys):
     for argv in cases():
         if argv[2] == name:

@@ -1,6 +1,6 @@
 import pytest
 
-from cybag.errors import CycleLimitError, PlainCycleError
+from cybag.errors import CycleLimitError, PlainCycleError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import (
@@ -68,6 +68,13 @@ def test_find_cycles_two_node():
     g = AttackGraph([Node(3, O), Node(7, O)], [(3, 7), (7, 3)])
     cycles = find_cycles(g)
     assert [c.nodes for c in cycles] == [(3, 7, 3)]
+
+
+def test_find_cycles_self_loop():
+    # a self-edge is a one-node cycle, as in DenseIndex.blocks
+    g = AttackGraph([Node(3, O), Node(7, O)], [(3, 7), (7, 3), (7, 7)])
+    assert [c.nodes for c in find_cycles(g)] == [(7, 7), (3, 7, 3)]
+    assert topological_order(AttackGraph([Node(1, O)], [(1, 1)])) is None
 
 
 def test_find_cycles_ignores_duplicated_edges():
@@ -144,6 +151,15 @@ def test_cyclepath_rejects_bad_paths():
         CyclePath((1, 2, 3))  # not closed
     with pytest.raises(ValueError):
         CyclePath((1, 2, 1, 2, 1))  # repeated interior node
+    with pytest.raises(ValueError):
+        CyclePath((1,))  # too short to close
+    assert CyclePath((1, 1)).edge_list == ((1, 1),)
+
+
+def test_unknown_node_lookup(fig5):
+    for lookup in (fig5.node, fig5.kind, fig5.local_prob):
+        with pytest.raises(UnknownNodeError, match="node 99 is not in the graph"):
+            lookup(99)
 
 
 def test_convert_plain_kinds():

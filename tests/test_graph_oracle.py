@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cybag.errors import CycleLimitError
+from cybag.generator import nodes_on_cycles
 from cybag.graph import AttackGraph, Node, NodeKind, find_cycles, topological_order
 
 # enough for every graph hypothesis keeps; denser draws are discarded
@@ -21,11 +22,12 @@ MAX_REFERENCE_CYCLES = 2000
 
 @st.composite
 def digraphs(draw, ring=False):
-    """Up to 12 nodes and 3n edges; ``ring`` adds a cycle through every node."""
+    """Up to 12 nodes and 3n edges, self-edges included; ``ring`` adds a
+    cycle through every node."""
     ids = draw(
         st.lists(st.integers(0, 99), min_size=1 + ring, max_size=12, unique=True)
     )
-    pairs = [(a, b) for a in ids for b in ids if a != b]
+    pairs = [(a, b) for a in ids for b in ids]
     edges = list(zip(ids, ids[1:] + ids[:1])) if ring else []
     if pairs:
         size = draw(st.integers(0, min(len(pairs), 3 * len(ids))))
@@ -36,7 +38,8 @@ def digraphs(draw, ring=False):
 
 
 def reference_cycles(g):
-    """networkx's simple cycles, rotated to start at the smallest id, sorted."""
+    """networkx's simple cycles, rotated to start at the smallest id, sorted;
+    networkx lists a self-loop as ``[v]``, which becomes ``(v, v)``."""
     ref = nx.DiGraph()
     ref.add_nodes_from(g.node_ids)
     ref.add_edges_from(g.edges)
@@ -69,6 +72,7 @@ def test_cycles_and_blocks_match_networkx(g):
 
     assert (topological_order(g) is None) == any(cyclic for _, cyclic in d.blocks)
     assert (topological_order(g) is None) == bool(cycles)
+    assert nodes_on_cycles(g) == {v for c in cycles for v in c}
 
 
 @given(digraphs(ring=True), st.data())

@@ -112,7 +112,7 @@ def package_modules_named(level, module, names):
     return {parts[0]} if parts else set(names)
 
 
-@pytest.mark.parametrize("name", ["cli.py", "__init__.py"])
+@pytest.mark.parametrize("name", ["cli.py", "__init__.py", "__main__.py"])
 def test_no_engine_imported_at_module_level(name):
     named = set().union(*(package_modules_named(*i) for i in module_level_imports(SRC / name)))
     assert named & ENGINES == set()
@@ -127,6 +127,15 @@ def run_python(code, *args, cwd=None):
         check=True,
         cwd=cwd,
     )
+
+
+def test_python_m_cybag_prints_what_cybag_cli_prints():
+    def solve(module):
+        argv = [sys.executable, "-m", module, "solve", "--in", str(SRC / "fixtures" / "fig5.json")]
+        env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+        return subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+
+    assert solve("cybag") == solve("cybag.cli") == b"0\t0.700000\n1\t0.800000\n2\t0.336000\n"
 
 
 def test_cli_import_leaves_networkx_unloaded():
