@@ -37,7 +37,6 @@ _EXPORTS = {
         "first_hit",
     ),
     "errors": (
-        "BadOrderError",
         "CybagError",
         "CycleLimitError",
         "GraphCyclicError",

@@ -23,11 +23,10 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import BadOrderError, GraphCyclicError, TooLargeError, WidthLimitError
+from .errors import GraphCyclicError, TooLargeError, WidthLimitError
 from .graph import KIND_AND, KIND_LEAF, AttackGraph, NodeKind
 
 WIDTH_LIMIT = 20
@@ -134,26 +133,15 @@ def elimination_order(graph: AttackGraph, query: int) -> list[int]:
     return order
 
 
-def eliminate(
-    graph: AttackGraph, query: int, order: Sequence[int] | None = None
-) -> float:
-    """Exact marginal P(query = 1) by sum-product variable elimination.
+def eliminate(graph: AttackGraph, query: int) -> float:
+    """Exact marginal P(query = 1) by sum-product variable elimination in
+    :func:`elimination_order`.
 
-    The result does not depend on the order; a custom one must be a
-    permutation of the remaining variables or :class:`BadOrderError` is
-    raised. A product over more than ``WIDTH_LIMIT + 1`` variables is
-    refused with :class:`WidthLimitError` before it is built.
+    A product over more than ``WIDTH_LIMIT + 1`` variables is refused with
+    :class:`WidthLimitError` before it is built.
     """
     _require_acyclic(graph)
-    graph.dense.row(query)
-    if order is None:
-        order = elimination_order(graph, query)
-    else:
-        order = list(order)
-        if sorted(order) != sorted(set(graph.node_ids) - {query}):
-            raise BadOrderError(
-                "order must be a permutation of the non-query variables"
-            )
+    order = elimination_order(graph, query)
 
     # Factors are keyed by creation number, so each product multiplies its
     # factors oldest first; holding[u] holds the keys of the factors over u.
@@ -165,8 +153,6 @@ def eliminate(
     created = len(factors)
     for var in order:
         keys = sorted(holding.pop(var))
-        if not keys:
-            continue
         involved = [factors.pop(key) for key in keys]
         width = len(set().union(*(f.scope for f in involved)))
         if width > WIDTH_LIMIT + 1:

@@ -32,10 +32,11 @@ The probability that a node is ever reached is then a reachability
 probability over instantiations of the primed inputs. It is computed
 exactly by weighted enumeration of the inputs with fractional
 probabilities (:func:`reachability_exact`) or estimated by sampling
-(:func:`reachability_mc`). Both work through the instantiations in
-chunks whose cell matrix fits :data:`CHUNK_BUDGET_BYTES`. On acyclic
-graphs the exact value agrees with variable elimination; on cyclic
-graphs it is the reference semantics.
+(:func:`reachability_mc`). Both run one chunk loop, which fills each
+chunk's cells from one input encoder and evaluates them; a chunk's cell
+matrix fits :data:`CHUNK_BUDGET_BYTES`. On acyclic graphs the exact
+value agrees with variable elimination; on cyclic graphs it is the
+reference semantics.
 """
 
 from __future__ import annotations
@@ -63,11 +64,17 @@ class Instantiation:
 
     bits: Mapping[int, int]
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.bits.items()))
+
 
 @dataclass(frozen=True)
 class CircuitState:
     values: Mapping[int, int]
     iteration: int
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.values.items()), self.iteration))
 
 
 @dataclass(frozen=True)
@@ -146,13 +153,8 @@ def _tick_dtype(n: int) -> np.dtype:
     )
 
 
-def _prime_levels(n: int, dtype) -> tuple:
-    """Cell values of a primed input that is on and off, in ``dtype``'s mode."""
-    return (True, False) if np.dtype(dtype) == bool else (0, n + 1)
-
-
-def _fractional_inputs(d: DenseIndex) -> list[int]:
-    return [i for i, p in enumerate(d.probs) if 0.0 < p < 1.0]
+def _fractional_probs(d: DenseIndex) -> list[float]:
+    return [p for p in d.probs if 0.0 < p < 1.0]
 
 
 def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
@@ -163,8 +165,8 @@ def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
     node's final value or first-hit tick (see the module docstring).
     """
     n, m = cells.shape
-    _, off = _prime_levels(n, cells.dtype)
     ticks = cells.dtype != bool
+    off = n + 1 if ticks else False
     if ticks:
         conj, disj = np.maximum, np.minimum
     else:
@@ -210,36 +212,49 @@ def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _input_cells(d: DenseIndex, fractional: list[int], idx: np.ndarray, dtype) -> np.ndarray:
-    """Cell matrix holding the primed inputs of enumeration indices ``idx``
-    in the encoding of ``dtype``'s mode, with constant inputs folded: bit j
-    of an index drives the j-th fractional input."""
-    on, off = _prime_levels(len(d.ids), dtype)
-    cells = np.empty((len(d.ids), len(idx)), dtype=dtype)
+def _primes(d: DenseIndex, bits) -> Iterator[tuple[int, object]]:
+    """(row, bits) of every primed input: False or True for probability 0
+    or 1, ``bits(j, p)`` for the j-th fractional input in row order."""
+    j = 0
     for i, p in enumerate(d.probs):
-        cells[i] = on if p >= 1.0 else off
-    for j, i in enumerate(fractional):
-        cells[i] = np.where((idx >> j) & 1, on, off)
-    return cells
+        if 0.0 < p < 1.0:
+            yield i, bits(j, p)
+            j += 1
+        else:
+            yield i, p >= 1.0
 
 
-def _enumerate(
-    d: DenseIndex, dtype, limit: int, what: str
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Evaluate every instantiation of the fractional inputs in ``dtype``'s
-    mode, yielding (enumeration indices, evaluated cells) per chunk of
-    consecutive indices. Raises :class:`TooLargeError` past ``limit``
-    fractional inputs."""
-    fractional = _fractional_inputs(d)
-    if len(fractional) > limit:
-        raise TooLargeError(
-            f"{len(fractional)} fractional inputs exceed the {limit}-bit {what} limit"
-        )
-    total = 1 << len(fractional)
-    width = chunk_columns(len(d.ids), np.dtype(dtype).itemsize, total)
+def _chunks(d: DenseIndex, dtype, total: int, source) -> Iterator[tuple[int, np.ndarray]]:
+    """Evaluate ``total`` instantiations in ``dtype``'s mode, yielding (first
+    column, evaluated cells) per chunk; ``source(start, m)`` gives the
+    :func:`_primes` bits of the m columns from ``start``."""
+    n = len(d.ids)
+    width = chunk_columns(n, np.dtype(dtype).itemsize, total)
     for start in range(0, total, width):
-        idx = np.arange(start, min(total, start + width), dtype=np.int64)
-        yield idx, _evaluate(d, _input_cells(d, fractional, idx, dtype))
+        m = min(width, total - start)
+        cells = np.empty((n, m), dtype=dtype)
+        for i, bits in _primes(d, source(start, m)):
+            cells[i] = bits
+        if cells.dtype != bool:  # on 1 -> tick 0, off 0 -> never n + 1
+            np.subtract(1, cells, out=cells)
+            cells *= n + 1
+        yield start, _evaluate(d, cells)
+
+
+def _index_bits(start: int, m: int):
+    """Bits of enumeration indices ``start`` to ``start + m - 1``: bit j of
+    an index drives the j-th fractional input."""
+    idx = np.arange(start, start + m, dtype=np.int64)
+    return lambda j, p: (idx >> j) & 1
+
+
+def _enumerate(d: DenseIndex, dtype, limit: int, what: str) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`_chunks` over every instantiation of the fractional inputs, in
+    enumeration order. Raises :class:`TooLargeError` past ``limit`` of them."""
+    k = len(_fractional_probs(d))
+    if k > limit:
+        raise TooLargeError(f"{k} fractional inputs exceed the {limit}-bit {what} limit")
+    return _chunks(d, dtype, 1 << k, _index_bits)
 
 
 def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> np.ndarray:
@@ -247,9 +262,8 @@ def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> np.ndarray:
     id order; n + 1 (for n nodes) means never."""
     _check_domain(graph, inst.bits, "instantiation")
     d = graph.dense
-    dtype = _tick_dtype(len(d.ids))
-    on, off = _prime_levels(len(d.ids), dtype)
-    cells = np.array([[on if inst.bits[v] else off] for v in d.ids], dtype=dtype)
+    n = len(d.ids)
+    cells = np.array([[0 if inst.bits[v] else n + 1] for v in d.ids], dtype=_tick_dtype(n))
     return _evaluate(d, cells)[:, 0]
 
 
@@ -261,14 +275,15 @@ def enumerate_first_hits(
     chunk's enumeration indices. Raises :class:`TooLargeError` past
     ``limit`` fractional inputs."""
     d = graph.dense
-    return _enumerate(d, _tick_dtype(len(d.ids)), limit, "classification")
+    for start, hits in _enumerate(d, _tick_dtype(len(d.ids)), limit, "classification"):
+        yield np.arange(start, start + hits.shape[1], dtype=np.int64), hits
 
 
 def instantiation_at(graph: AttackGraph, index: int) -> Instantiation:
     """The instantiation at ``index`` in enumeration order."""
     d = graph.dense
-    cells = _input_cells(d, _fractional_inputs(d), np.array([index]), bool)
-    return Instantiation({v: int(cells[i, 0]) for i, v in enumerate(d.ids)})
+    primes = _primes(d, lambda j, p: (index >> j) & 1)
+    return Instantiation({d.ids[i]: int(bits) for i, bits in primes})
 
 
 def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
@@ -280,16 +295,15 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     """
     d = graph.dense
     row = d.row(v)
-    fractional = _fractional_inputs(d)
+    fractional = _fractional_probs(d)
     sums = []
-    total = 0
-    for idx, finals in _enumerate(d, bool, EXACT_ENUM_LIMIT, "enumeration"):
-        weights = np.ones(len(idx))
-        for j, i in enumerate(fractional):
-            weights *= np.where((idx >> j) & 1, d.probs[i], 1.0 - d.probs[i])
+    for start, finals in _enumerate(d, bool, EXACT_ENUM_LIMIT, "enumeration"):
+        bits = _index_bits(start, finals.shape[1])
+        weights = np.ones(finals.shape[1])
+        for j, p in enumerate(fractional):
+            weights *= np.where(bits(j, p), p, 1.0 - p)
         sums.append(math.fsum(weights[finals[row]].tolist()))
-        total += len(idx)
-    return ReachEstimate(min(1.0, math.fsum(sums)), "exact", total, 0.0)
+    return ReachEstimate(min(1.0, math.fsum(sums)), "exact", 1 << len(fractional), 0.0)
 
 
 def reachability_mc(
@@ -297,8 +311,8 @@ def reachability_mc(
 ) -> ReachEstimate:
     """Monte Carlo estimate of the reach probability with binomial error.
 
-    Samples are drawn in budget-sized chunks, node by node within a chunk;
-    at most :data:`MC_SAMPLE_LIMIT` are taken.
+    Samples are drawn in budget-sized chunks, one draw per fractional input
+    in row order within a chunk; at most :data:`MC_SAMPLE_LIMIT` are taken.
     """
     d = graph.dense
     row = d.row(v)
@@ -308,21 +322,17 @@ def reachability_mc(
         raise TooLargeError(
             f"{samples} samples exceed the {MC_SAMPLE_LIMIT}-sample limit"
         )
-    n = len(d.ids)
     rng = np.random.default_rng(seed)
-    width = chunk_columns(n, 1, samples)
-    hits = 0
-    for start in range(0, samples, width):
-        m = min(width, samples - start)
-        bits = np.empty((n, m), dtype=bool)
-        for i, p in enumerate(d.probs):
-            if p <= 0.0:
-                bits[i] = False
-            elif p >= 1.0:
-                bits[i] = True
-            else:
-                bits[i] = rng.random(m) < p
-        hits += int(_evaluate(d, bits)[row].sum())
+    piece = CHUNK_BUDGET_BYTES // 8  # a draw of k samples holds 8k bytes
+
+    def draw(m: int, p: float) -> np.ndarray:
+        out = np.empty(m, dtype=bool)
+        for a in range(0, m, piece):
+            np.less(rng.random(min(piece, m - a)), p, out=out[a : a + piece])
+        return out
+
+    chunks = _chunks(d, bool, samples, lambda start, m: lambda j, p: draw(m, p))
+    hits = sum(int(cells[row].sum()) for _, cells in chunks)
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import Instantiation, enumerate_first_hits, first_hit_ticks, instantiation_at
 from .errors import TargetRequiredError
-from .graph import DEFAULT_MAX_CYCLES, AttackGraph, CyclePath, find_cycles
+from .graph import AttackGraph, CyclePath, find_cycles
 
 CLASSIFY_ENUM_LIMIT = 20
 
@@ -148,11 +148,10 @@ def classify_cycle(
     return report
 
 
-def classify_all(
-    graph: AttackGraph, target: int, max_cycles: int = DEFAULT_MAX_CYCLES
-) -> list[CycleReport]:
-    """Find every simple cycle and classify each against the target."""
-    return classify_cycles(graph, find_cycles(graph, max_cycles), target)
+def classify_all(graph: AttackGraph, target: int) -> list[CycleReport]:
+    """Classify every simple cycle against the target; for another cycle
+    cap than :func:`find_cycles`' default, call :func:`classify_cycles`."""
+    return classify_cycles(graph, find_cycles(graph), target)
 
 
 def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:

@@ -15,13 +15,7 @@ import sys
 # Engines are imported inside the command that runs them, so that only
 # circuit, cycles, ve and compare pay for loading numpy.
 from . import formats
-from .errors import (
-    CybagError,
-    CycleLimitError,
-    GraphCyclicError,
-    TooLargeError,
-    WidthLimitError,
-)
+from .errors import CybagError, GraphCyclicError, TooLargeError
 from .graph import DEFAULT_MAX_CYCLES, AttackGraph, convert_plain, find_cycles, validate
 
 EXIT_OK = 0
@@ -151,6 +145,8 @@ def _cmd_cycles(args) -> int:
     from . import classify
 
     graph = _load_graph(args.infile)
+    if args.target is not None:  # an unknown target fails before the enumeration
+        graph.dense.row(args.target)
     found = find_cycles(graph, args.max)
     rows = []
     for report in classify.classify_cycles(graph, found, args.target):
@@ -340,7 +336,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TooLargeError, WidthLimitError, CycleLimitError) as exc:
+    except TooLargeError as exc:  # every resource limit
         print(f"limit exceeded [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except CybagError as exc:

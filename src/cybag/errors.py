@@ -31,7 +31,13 @@ class PlainCycleError(CybagError):
     code = "PLAIN_CYCLE"
 
 
-class CycleLimitError(CybagError):
+class TooLargeError(CybagError):
+    """A resource limit was hit; the base of every limit error."""
+
+    code = "TOO_LARGE"
+
+
+class CycleLimitError(TooLargeError):
     """More simple cycles exist than the caller allowed.
 
     ``cycles`` holds the partial list collected before the limit was hit.
@@ -44,22 +50,10 @@ class CycleLimitError(CybagError):
         self.cycles = cycles
 
 
-class TooLargeError(CybagError):
-    """Exhaustive enumeration would exceed the configured bound."""
-
-    code = "TOO_LARGE"
-
-
-class WidthLimitError(CybagError):
+class WidthLimitError(TooLargeError):
     """A conditional-probability table is too wide to materialize."""
 
     code = "WIDTH_LIMIT"
-
-
-class BadOrderError(CybagError):
-    """Elimination order is not a permutation of the non-query variables."""
-
-    code = "BAD_ORDER"
 
 
 class TargetRequiredError(CybagError):

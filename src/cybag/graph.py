@@ -85,15 +85,6 @@ class AttackGraph:
                 pa[dst].add(src)
         return {v: tuple(sorted(ps)) for v, ps in pa.items()}
 
-    @cached_property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        """Child ids per node, ascending and distinct; every node id is a key."""
-        ch: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for src, dst in self.edges:
-            if src in ch and dst in ch:
-                ch[src].add(dst)
-        return {v: tuple(sorted(cs)) for v, cs in ch.items()}
-
     def node(self, node_id: int) -> Node:
         """The node with id ``node_id``; raises :class:`UnknownNodeError` if absent."""
         return self.nodes[self.dense.row(node_id)]

@@ -150,7 +150,7 @@ def test_criterion_05_shared_dependency_discrepancy():
         # listed, not asserted.
         counterexamples = []
         for g in _loopy_acyclic_suite(100):
-            sinks = [v for v in g.node_ids if not g.children[v]]
+            sinks = sorted(set(g.node_ids) - {src for src, _ in g.edges})
             q = max(sinks)
             algo = solve_node(g, q)
             ve = eliminate(g, q)

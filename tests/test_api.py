@@ -16,7 +16,7 @@ import pytest
 import cybag
 
 PUBLIC = [
-    "AttackGraph", "BadOrderError", "BenchRow", "CircuitState", "Complexity",
+    "AttackGraph", "BenchRow", "CircuitState", "Complexity",
     "ComplexityScore", "CveRecord", "CybagError", "CycleLimitError", "CyclePath",
     "CycleReport", "CycleType", "Factor", "FirstHit", "GenParams", "GraphCyclicError",
     "InfeasibleError", "Instantiation", "IoError", "Node", "NodeKind", "ParseError",

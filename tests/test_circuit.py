@@ -91,6 +91,12 @@ def test_fixed_point_all_ones(fig5):
     assert k_star == 2
 
 
+def test_instantiations_and_states_hash_by_value(fig5):
+    state, _ = fixed_point(fig5, all_ones(fig5))
+    assert len({state, CircuitState(dict(state.values), state.iteration)}) == 1
+    assert len({all_ones(fig5), all_ones(fig5), all_zeros(fig5)}) == 2
+
+
 def test_fixed_point_all_zeros(fig5):
     state, k_star = fixed_point(fig5, all_zeros(fig5))
     assert set(state.values.values()) == {0}
@@ -309,3 +315,36 @@ def test_reachability_mc_sample_limit():
     g = AttackGraph([Node(0, L, "", 0.5)], [])
     with pytest.raises(TooLargeError):
         reachability_mc(g, 0, circuit.MC_SAMPLE_LIMIT + 1, 0)
+
+
+def test_reachability_mc_pins_constant_inputs():
+    # leaves 0 and 1 are the constants False and True and draw nothing, so
+    # node 5 sees the same draws as the lone fractional leaf of ``alone``
+    g = AttackGraph(
+        [Node(0, L, "", 0.0), Node(1, L, "", 1.0), Node(2, L, "", 0.5),
+         Node(3, A, "", 1.0), Node(4, O, "", 1.0), Node(5, A, "", 1.0)],
+        [(0, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5)],
+    )
+    alone = AttackGraph([Node(2, L, "", 0.5)], [])
+    assert reachability_mc(g, 3, 3000, 4) == circuit.ReachEstimate(0.0, "monte-carlo", 3000, 0.0)
+    assert reachability_mc(g, 4, 3000, 4).probability == 1.0
+    assert reachability_mc(g, 5, 3000, 4) == reachability_mc(alone, 2, 3000, 4)
+
+
+def test_reachability_mc_draws_within_the_chunk_budget(monkeypatch):
+    import tracemalloc
+
+    g = AttackGraph([Node(0, L, "", 0.5)], [])
+    whole = reachability_mc(g, 0, 1 << 16, 5)
+    # one chunk of 2^16 bool columns, each draw in pieces of 2^13 floats
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 1 << 16)
+    tracemalloc.start()
+    try:
+        split = reachability_mc(g, 0, 1 << 16, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split == whole
+    # the cells, one row of bits and the engine's two row buffers take 2^16
+    # bytes each; an unsplit draw alone would hold 2^19
+    assert peak < 5 << 16

@@ -239,6 +239,12 @@ def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch):
     assert calls == [1]
 
 
+def test_witnesses_and_reports_are_hashable():
+    reports = classify_all(three_cycles(), target=6)
+    assert len({r.witness for r in reports}) == 1
+    assert len(set(reports)) == 3
+
+
 @pytest.mark.parametrize("target", [4, 5, 6])
 def test_batched_classification_matches_one_cycle_at_a_time(monkeypatch, target):
     g = three_cycles()

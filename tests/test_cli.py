@@ -111,6 +111,14 @@ def test_cycles_unknown_target_without_cycles(capsys):
     assert "UNKNOWN_NODE" in captured.err
 
 
+def test_cycles_unknown_target_fails_before_the_cycle_enumeration(capsys):
+    # --max 0 would stop the enumeration at the first cycle with exit 3
+    assert run(["cycles", "--in", TYPE2, "--max", "0", "--target", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UNKNOWN_NODE" in captured.err
+
+
 def test_cycles_json(capsys):
     assert run(["cycles", "--in", RUNNING, "--target", "14", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
