@@ -212,29 +212,29 @@ def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _primes(d: DenseIndex, bits) -> Iterator[tuple[int, object]]:
-    """(row, bits) of every primed input: False or True for probability 0
-    or 1, ``bits(j, p)`` for the j-th fractional input in row order."""
+def _primes(d: DenseIndex, fill, cells: np.ndarray) -> None:
+    """Write every primed input into its row of ``cells``: False or True for
+    probability 0 or 1; ``fill(j, p, row)`` writes the j-th fractional
+    input, in row order, into its row in place."""
     j = 0
     for i, p in enumerate(d.probs):
         if 0.0 < p < 1.0:
-            yield i, bits(j, p)
+            fill(j, p, cells[i])
             j += 1
         else:
-            yield i, p >= 1.0
+            cells[i] = p >= 1.0
 
 
 def _chunks(d: DenseIndex, dtype, total: int, source) -> Iterator[tuple[int, np.ndarray]]:
     """Evaluate ``total`` instantiations in ``dtype``'s mode, yielding (first
     column, evaluated cells) per chunk; ``source(start, m)`` gives the
-    :func:`_primes` bits of the m columns from ``start``."""
+    :func:`_primes` fill of the m columns from ``start``."""
     n = len(d.ids)
     width = chunk_columns(n, np.dtype(dtype).itemsize, total)
     for start in range(0, total, width):
         m = min(width, total - start)
         cells = np.empty((n, m), dtype=dtype)
-        for i, bits in _primes(d, source(start, m)):
-            cells[i] = bits
+        _primes(d, source(start, m), cells)
         if cells.dtype != bool:  # on 1 -> tick 0, off 0 -> never n + 1
             np.subtract(1, cells, out=cells)
             cells *= n + 1
@@ -245,7 +245,11 @@ def _index_bits(start: int, m: int):
     """Bits of enumeration indices ``start`` to ``start + m - 1``: bit j of
     an index drives the j-th fractional input."""
     idx = np.arange(start, start + m, dtype=np.int64)
-    return lambda j, p: (idx >> j) & 1
+
+    def fill(j: int, p: float, row: np.ndarray) -> None:
+        row[:] = (idx >> j) & 1
+
+    return fill
 
 
 def _enumerate(d: DenseIndex, dtype, limit: int, what: str) -> Iterator[tuple[int, np.ndarray]]:
@@ -282,8 +286,9 @@ def enumerate_first_hits(
 def instantiation_at(graph: AttackGraph, index: int) -> Instantiation:
     """The instantiation at ``index`` in enumeration order."""
     d = graph.dense
-    primes = _primes(d, lambda j, p: (index >> j) & 1)
-    return Instantiation({d.ids[i]: int(bits) for i, bits in primes})
+    cells = np.empty((len(d.ids), 1), dtype=np.int8)
+    _primes(d, lambda j, p, row: row.fill((index >> j) & 1), cells)
+    return Instantiation({v: int(bit) for v, bit in zip(d.ids, cells[:, 0])})
 
 
 def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
@@ -298,10 +303,10 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     fractional = _fractional_probs(d)
     sums = []
     for start, finals in _enumerate(d, bool, EXACT_ENUM_LIMIT, "enumeration"):
-        bits = _index_bits(start, finals.shape[1])
+        idx = np.arange(start, start + finals.shape[1], dtype=np.int64)
         weights = np.ones(finals.shape[1])
         for j, p in enumerate(fractional):
-            weights *= np.where(bits(j, p), p, 1.0 - p)
+            weights *= np.where((idx >> j) & 1, p, 1.0 - p)
         sums.append(math.fsum(weights[finals[row]].tolist()))
     return ReachEstimate(min(1.0, math.fsum(sums)), "exact", 1 << len(fractional), 0.0)
 
@@ -323,15 +328,15 @@ def reachability_mc(
             f"{samples} samples exceed the {MC_SAMPLE_LIMIT}-sample limit"
         )
     rng = np.random.default_rng(seed)
-    piece = CHUNK_BUDGET_BYTES // 8  # a draw of k samples holds 8k bytes
+    # a draw of k samples holds 8k bytes beside the chunk: a sixteenth of the budget
+    piece = max(1, CHUNK_BUDGET_BYTES // 128)
 
-    def draw(m: int, p: float) -> np.ndarray:
-        out = np.empty(m, dtype=bool)
-        for a in range(0, m, piece):
-            np.less(rng.random(min(piece, m - a)), p, out=out[a : a + piece])
-        return out
+    def draw(j: int, p: float, row: np.ndarray) -> None:
+        for a in range(0, len(row), piece):
+            out = row[a : a + piece]
+            np.less(rng.random(len(out)), p, out=out)
 
-    chunks = _chunks(d, bool, samples, lambda start, m: lambda j, p: draw(m, p))
+    chunks = _chunks(d, bool, samples, lambda start, m: draw)
     hits = sum(int(cells[row].sum()) for _, cells in chunks)
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)

@@ -6,13 +6,28 @@ fact, Or nodes are attacker states fed by one or more actions. The base
 wiring is acyclic by ranking the Or nodes and only letting actions read
 from lower-ranked states. Cycles are then added on purpose: a bridge And
 node is inserted from a descendant state back to an ancestor state until
-the requested share of Or nodes sits on a directed cycle. Coverage is
-tracked incrementally: a bridge x -> a -> y puts on a cycle exactly the
-nodes in desc(y) & anc(x), so no strongly connected component is ever
-recomputed during generation. Node counts
+the requested share of Or nodes sits on a directed cycle. Node counts
 follow the requested leaf/and/or ratio exactly (bridge And nodes are
 pre-reserved out of the And budget), and everything is deterministic per
 seed.
+
+The bridge loop looks at Or nodes only. Leaves have no parents, And
+nodes read leaves and Or nodes and feed only Or nodes, and Or nodes read
+only And nodes. So every path from one Or node to another alternates
+Or -> And -> Or, and follows the Or-level arcs p => t, one for each Or p
+that feeds an And that feeds Or t. The builder keeps these arcs as edges
+are added, and the loop walks them instead of the whole graph.
+
+Coverage is tracked incrementally: a bridge x -> a -> y puts on a cycle
+exactly the nodes in desc(y) & anc(x), so no strongly connected
+component is ever recomputed. To pick y the loop has already walked
+anc(x), and the bridge does not change it: a new path into x passes
+through x before it takes the bridge. So the covering walk goes down
+from y and stays inside anc(x), since every node on a path from y to a
+node of anc(x) is itself in anc(x). When x has no ancestor state and the
+loop bridges from one of its descendants z instead, the covering walk
+goes up from z inside desc(x). When x has neither, two bridges x -> w
+and w -> x close only the cycle through x and w.
 """
 
 from __future__ import annotations
@@ -89,48 +104,64 @@ def cyclic_or_fraction(graph: AttackGraph) -> float:
 
 
 class _Builder:
-    def __init__(self, params: GenParams):
-        self.rng = random.Random(params.seed)
-        self.params = params
+    """The edge set of a graph being generated, and its Or-level arcs.
+
+    Node ids from ``first_or`` up are Or nodes. ``up[t]`` and ``down[p]``
+    hold the Or-level arcs p => t, one for each Or p that feeds an And
+    that feeds Or t.
+    """
+
+    def __init__(self, first_or: int):
+        self.first_or = first_or
         self.edges: set[tuple[int, int]] = set()
-        self.parents: dict[int, set[int]] = {}
-        self.children: dict[int, set[int]] = {}
+        self.or_parents: dict[int, set[int]] = {}  # And -> its Or parents
+        self.or_children: dict[int, set[int]] = {}  # And -> its Or children
+        self.up: dict[int, set[int]] = {}
+        self.down: dict[int, set[int]] = {}
         self.covered: set[int] = set()
 
     def add_edge(self, src: int, dst: int) -> None:
-        if (src, dst) in self.edges or src == dst:
+        if (src, dst) in self.edges:
             return
         self.edges.add((src, dst))
-        self.parents.setdefault(dst, set()).add(src)
-        self.children.setdefault(src, set()).add(dst)
+        if src >= self.first_or:  # Or -> And
+            self.or_parents.setdefault(dst, set()).add(src)
+            for t in self.or_children.get(dst, ()):
+                self._link(src, t)
+        elif dst >= self.first_or:  # And -> Or
+            self.or_children.setdefault(src, set()).add(dst)
+            for p in self.or_parents.get(src, ()):
+                self._link(p, dst)
 
-    def _reach(self, start: int, adj: dict[int, set[int]]) -> set[int]:
-        """``start`` and every node reachable from it along ``adj``."""
+    def _link(self, p: int, t: int) -> None:
+        self.down.setdefault(p, set()).add(t)
+        self.up.setdefault(t, set()).add(p)
+
+    def reach(
+        self, start: int, arcs: dict[int, set[int]], within: set[int] | None = None
+    ) -> set[int]:
+        """``start`` and every Or node reachable from it along ``arcs``,
+        passing only through nodes of ``within`` when it is given."""
         seen = {start}
         frontier = [start]
         while frontier:
-            for w in adj.get(frontier.pop(), ()):
-                if w not in seen:
+            for w in arcs.get(frontier.pop(), ()):
+                if w not in seen and (within is None or w in within):
                     seen.add(w)
                     frontier.append(w)
         return seen
 
-    def or_ancestors(self, start: int, ors: set[int]) -> list[int]:
-        return sorted((self._reach(start, self.parents) & ors) - {start})
+    def cover(self, start: int, arcs: dict[int, set[int]], within: set[int]) -> None:
+        """Add to ``covered`` the Or nodes on the cycles a new bridge closed.
 
-    def or_descendants(self, start: int, ors: set[int]) -> list[int]:
-        return sorted((self._reach(start, self.children) & ors) - {start})
-
-    def cover(self, x: int, y: int, ors: set[int]) -> None:
-        """Add to ``covered`` the Or nodes on cycles closed by a bridge x -> a -> y.
-
-        Besides x -> a and a -> y, a has only an in-edge from a parentless
-        leaf, so every new cycle runs x -> a -> y ~> x: the nodes newly on a
-        cycle are exactly desc(y) & anc(x). Nodes on a cycle stay on one.
+        Besides x -> a and a -> y, a bridge And a has only an in-edge from a
+        parentless leaf, so every new cycle runs x -> a -> y ~> x and the
+        nodes newly on a cycle are desc(y) & anc(x). ``within`` is the side
+        the caller has walked, anc(x) or desc(y), and ``start`` the other
+        end, y walking ``down`` or x walking ``up``. Nodes on a cycle stay
+        on one.
         """
-        down = self._reach(y, self.children)
-        if x in down:
-            self.covered |= down & self._reach(x, self.parents) & ors
+        self.covered |= self.reach(start, arcs, within)
 
 
 def generate(params: GenParams) -> AttackGraph:
@@ -159,8 +190,8 @@ def generate(params: GenParams) -> AttackGraph:
     regular_ands = ands[: n_and - bridge_budget]
     reserve = ands[n_and - bridge_budget :]
 
-    b = _Builder(params)
-    rng = b.rng
+    b = _Builder(n_leaf + n_and)
+    rng = random.Random(params.seed)
 
     ranked = list(ors)
     rng.shuffle(ranked)
@@ -205,7 +236,6 @@ def generate(params: GenParams) -> AttackGraph:
         if leaves:
             b.add_edge(rng.choice(leaves), a)
         b.add_edge(a, dst_or)
-        b.cover(src_or, dst_or, or_set)
 
     # The base wiring is acyclic by rank, so b.covered starts empty.
     or_set = set(ors)
@@ -214,26 +244,25 @@ def generate(params: GenParams) -> AttackGraph:
         while len(covered) < target_or:
             uncovered = sorted(or_set - covered)
             x = rng.choice(uncovered)
-            ancestors = b.or_ancestors(x, or_set)
-            fresh = [y for y in ancestors if y not in covered]
-            if fresh:
-                add_bridge(x, rng.choice(fresh))
-            elif ancestors:
-                add_bridge(x, rng.choice(ancestors))
-            else:
-                descendants = b.or_descendants(x, or_set)
-                fresh_d = [z for z in descendants if z not in covered]
-                if fresh_d:
-                    add_bridge(rng.choice(fresh_d), x)
-                elif descendants:
-                    add_bridge(rng.choice(descendants), x)
-                else:
-                    partners = [w for w in uncovered if w != x] or [
-                        w for w in ors if w != x
-                    ]
-                    w = rng.choice(partners)
-                    add_bridge(x, w)
-                    add_bridge(w, x)
+            anc = b.reach(x, b.up)
+            ancestors = sorted(anc - {x})
+            if ancestors:
+                y = rng.choice([v for v in ancestors if v not in covered] or ancestors)
+                add_bridge(x, y)
+                b.cover(y, b.down, anc)
+                continue
+            desc = b.reach(x, b.down)
+            descendants = sorted(desc - {x})
+            if descendants:
+                z = rng.choice([v for v in descendants if v not in covered] or descendants)
+                add_bridge(z, x)
+                b.cover(z, b.up, desc)
+                continue
+            partners = [w for w in uncovered if w != x] or [w for w in ors if w != x]
+            w = rng.choice(partners)
+            add_bridge(x, w)
+            add_bridge(w, x)
+            b.cover(w, b.up, {x, w})
 
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.

@@ -345,6 +345,31 @@ def test_reachability_mc_draws_within_the_chunk_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert split == whole
-    # the cells, one row of bits and the engine's two row buffers take 2^16
-    # bytes each; an unsplit draw alone would hold 2^19
+    # the cells and the engine's two row buffers take 2^16 bytes each; an
+    # unsplit draw alone would hold 2^19
     assert peak < 5 << 16
+
+
+def test_reachability_mc_draws_straight_into_the_cells(monkeypatch):
+    import tracemalloc
+
+    g = AttackGraph([Node(0, L, "", 0.5)], [])
+    whole = reachability_mc(g, 0, 1 << 16, 5)
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 1 << 16)
+    evaluate = circuit._evaluate
+    filled = []
+
+    def spy(d, cells):
+        filled.append(tracemalloc.get_traced_memory()[1])
+        return evaluate(d, cells)
+
+    monkeypatch.setattr(circuit, "_evaluate", spy)
+    tracemalloc.start()
+    try:
+        split = reachability_mc(g, 0, 1 << 16, 5)
+    finally:
+        tracemalloc.stop()
+    assert split == whole and len(filled) == 1
+    # until the chunk is evaluated the draws have held the 2^16 bool cells
+    # and float pieces of a sixteenth of them, never a second row of bits
+    assert filled[0] < (1 << 16) + (1 << 14)

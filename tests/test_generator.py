@@ -145,15 +145,28 @@ def gen_params(draw):
 @example(GenParams(n=120, cyclicity=100, seed=3, max_parents=1))
 @example(GenParams(n=150, cyclicity=37, ratio=(30, 50, 20), seed=5, max_parents=5))
 def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
-    """The incremental cover set matches a full SCC recomputation."""
+    """The incremental cover set matches a full SCC recomputation, and the
+    Or-level arcs match the Or -> And -> Or paths of the edges."""
     cover = generator._Builder.cover
-    bridges = 0
+    bridges = first_or = 0
 
-    def checked(self, x, y, ors):
-        nonlocal bridges
-        cover(self, x, y, ors)
+    def checked(self, *args):
+        nonlocal bridges, first_or
+        cover(self, *args)
         bridges += 1
+        first_or = self.first_or
+        ors = set(range(self.first_or, params.n))
         assert self.covered == scc_coverage(self.edges) & ors
+        out = {}
+        for s, t in self.edges:
+            out.setdefault(s, set()).add(t)
+        down, up = {}, {}
+        for p in ors:
+            for a in out.get(p, ()):
+                for t in out.get(a, set()) & ors:
+                    down.setdefault(p, set()).add(t)
+                    up.setdefault(t, set()).add(p)
+        assert self.down == down and self.up == up
 
     with mock.patch.object(generator._Builder, "cover", checked):
         try:
@@ -161,6 +174,7 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
         except InfeasibleError:
             return
     assert bridges > 0
+    assert {v.id for v in g.nodes if v.kind is O} == set(range(first_or, params.n))
     assert cyclic_or_fraction(g) >= params.cyclicity / 100.0
 
 

@@ -3,7 +3,9 @@
 ``golden_generate.json`` maps ``n/cyclicity/seed`` to the sha256 of the
 ``write_json`` bytes of ``generate(GenParams(n, cyclicity, seed=seed))``.
 The grid covers n in {30, 200, 1000} x cyclicity in {0, 40, 100} x seeds
-0-2, plus the benchmark size n=4000 x cyclicity in {40, 100} x seeds 0-1.
+0-2, plus the benchmark size n=4000 x cyclicity in {40, 100} x seeds 0-1,
+n=4000 x cyclicity 100 at seeds 10007 and 10008 (the graphs of perfbench
+``--seed 1``), and one large graph, n=16000 x cyclicity 100 x seed 0.
 A change to the generator that alters any graph fails here. To re-record
 after an intended change, run ``PYTHONPATH=src python tests/test_golden_generate.py``.
 """
@@ -21,7 +23,7 @@ CYCLICITIES = (0, 40, 100)
 SEEDS = (0, 1, 2)
 GRID = [(n, c, s) for n in SIZES for c in CYCLICITIES for s in SEEDS] + [
     (4000, c, s) for c in (40, 100) for s in (0, 1)
-]
+] + [(4000, 100, 10007), (4000, 100, 10008), (16000, 100, 0)]
 
 
 def digests(tmp: Path) -> dict[str, str]:

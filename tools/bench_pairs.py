@@ -4,14 +4,20 @@ For each seed, ``python3 perfbench/run.py --workload W --seed N`` runs once
 in the parent checkout and once in the change checkout; the side that runs
 first alternates from seed to seed. Every run's end-to-end metrics are
 kept, with each side's median and interquartile range and the number of
-pairs the change wins (metric directions come from BENCHMARK.json).
-Workloads already in OUT are kept, so workloads can be run one at a time.
+pairs the change wins (metric directions come from BENCHMARK.json). With
+``--trace`` the runs are ``--trace 1`` and the per-layer metrics are kept
+instead. Each set of pairs is stored under its workload name, or under
+the NAME of a ``--runs WORKLOAD:FIRST-LAST:NAME`` spec, so one workload
+can hold several sets. Sets already in OUT are kept, so they can be run
+one at a time.
 
 Run from the repository root, with both checkouts as plain directories:
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json \\
         --runs solve-cyclic:700-710 --runs exact-cyclic:800-802 \\
         --change "what the change does" --claim solve-cyclic:op_s_p50
+    python3 tools/bench_pairs.py PARENT CHANGE OUT.json --trace \\
+        --runs generate-cyclic:0-2:generate-cyclic-traced
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--trace", str(int(trace))],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -60,44 +67,49 @@ def main() -> int:
     parser.add_argument("change_dir", type=Path)
     parser.add_argument("out", type=Path)
     parser.add_argument("--runs", action="append", required=True,
-                        help="WORKLOAD:FIRST-LAST, an inclusive seed range")
+                        help="WORKLOAD:FIRST-LAST[:NAME], an inclusive seed range")
+    parser.add_argument("--trace", action="store_true",
+                        help="run --trace 1 and keep the per-layer metrics")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in bench["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower"
+             for m in bench["per_layer" if args.trace else "end_to_end"]}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "change": args.change or doc.get("change", ""),
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   "(default --seconds 24, --trace 0)",
+                   "--trace <trace> (default --seconds 24)",
         "method": "alternating parent/change pairs, the side that runs first alternating "
                   "from seed to seed; one perfbench run per side and seed; values are the "
                   "run's end-to-end metrics (times scaled to the reference speed, see "
-                  "perfbench/run.py REF_PROGRAM)",
+                  "perfbench/run.py REF_PROGRAM), or its per-layer metrics (times not "
+                  "scaled) in sets with trace 1",
     })
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric}
     workloads = doc.setdefault("workloads", {})
     for spec in args.runs:
-        workload, seeds = spec.split(":")
+        workload, seeds, *name = spec.split(":")
         first, last = (int(s) for s in seeds.split("-"))
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for k, seed in enumerate(range(first, last + 1)):
             sides = [("parent", args.parent), ("change", args.change_dir)]
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
-                runs[side].append(run_once(checkout, workload, seed))
+                runs[side].append(run_once(checkout, workload, seed, args.trace))
                 print(workload, seed, side, json.dumps(runs[side][-1]), flush=True)
-        entry = {"seeds": list(range(first, last + 1))}
+        entry = {"workload": workload, "trace": int(args.trace),
+                 "seeds": list(range(first, last + 1))}
         for side in runs:
             entry.setdefault("failed", {})[side] = [r["failed"] for r in runs[side]]
             entry.setdefault("attempted", {})[side] = [r["attempted"] for r in runs[side]]
         for metric, is_lower in lower.items():
             entry[metric] = summary([r[metric] for r in runs["parent"]],
                                     [r[metric] for r in runs["change"]], is_lower)
-        workloads[workload] = entry
+        workloads[name[0] if name else workload] = entry
         doc["machine"] = runs["change"][-1]["machine"]
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
