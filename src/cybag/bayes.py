@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphCyclicError, TooLargeError, WidthLimitError
-from .graph import KIND_AND, KIND_LEAF, AttackGraph, NodeKind
+from .graph import AttackGraph, NodeKind
 
 WIDTH_LIMIT = 20
 BRUTE_FORCE_LIMIT = 24
@@ -200,10 +200,11 @@ def brute_force_marginal(graph: AttackGraph, query: int) -> float:
     bits = [((idx >> i) & 1).astype(bool) for i in range(n)]
 
     joint = np.ones(m)
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
     for i, (kind, prob, parents) in enumerate(zip(d.kinds, d.probs, d.parents)):
-        if kind == KIND_LEAF:
+        if kind is LEAF:
             p1 = np.array(prob)
-        elif kind == KIND_AND:
+        elif kind is AND:
             gate = np.ones(m, dtype=bool)
             for p in parents:
                 gate &= bits[p]

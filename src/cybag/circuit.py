@@ -48,7 +48,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import TooLargeError
-from .graph import KIND_OR, AttackGraph, DenseIndex, NodeKind
+from .graph import AttackGraph, DenseIndex, NodeKind
 
 EXACT_ENUM_LIMIT = 24
 MC_SAMPLE_LIMIT = 1 << 32
@@ -137,7 +137,7 @@ def chunk_columns(n: int, cell_bytes: int, total: int) -> int:
     :data:`CHUNK_BUDGET_BYTES`, capped at ``total``. Raises
     :class:`TooLargeError` when not even one column fits.
     """
-    fit = CHUNK_BUDGET_BYTES // (n * cell_bytes)
+    fit = CHUNK_BUDGET_BYTES // max(1, n * cell_bytes)  # an empty matrix fits any budget
     if fit < 1:
         raise TooLargeError(
             f"one instantiation of {n} nodes exceeds the "
@@ -172,10 +172,11 @@ def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
     else:
         conj, disj = np.logical_and, np.logical_or
     fed = np.empty(m, dtype=cells.dtype)
+    OR = NodeKind.OR
 
     def gate(i: int, prime: np.ndarray, out: np.ndarray) -> None:
         ps = d.parents[i]
-        if d.kinds[i] == KIND_OR:
+        if d.kinds[i] is OR:
             if not ps:
                 out.fill(off)
                 return

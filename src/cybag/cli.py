@@ -200,18 +200,18 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, cast, noun: str) -> list:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [cast(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise _UsageError(f"{flag} must be a comma-separated integer list") from None
+        raise _UsageError(f"{flag} must be a comma-separated {noun} list") from None
 
 
 def _cmd_bench(args) -> int:
     from . import generator
 
-    sizes = _parse_int_list(args.sizes, "--sizes")
-    cyclicities = _parse_int_list(args.cyclicities, "--cyclicities")
+    sizes = _parse_list(args.sizes, "--sizes", int, "integer")
+    cyclicities = _parse_list(args.cyclicities, "--cyclicities", float, "number")
     if not sizes or not cyclicities:
         raise _UsageError("--sizes and --cyclicities must be non-empty")
     for n in sizes:

@@ -5,7 +5,9 @@ This module is the package's only file boundary. :func:`read_text`,
 error: an unreadable or unwritable file is an ``IoError``, bytes that are
 not UTF-8 text or not JSON/CSV a ``ParseError``, and input past
 ``INPUT_LIMIT_BYTES`` a ``TooLargeError``. One set of element rules
-decides what a valid id, edge and probability is for every reader.
+decides what a valid id, edge and probability is for every reader. The
+edge rules come from :func:`cybag.graph.edge_issue`, which
+:func:`cybag.graph.validate` applies too.
 
 The JSON document is ``{"version": "1", "notes": optional text, "nodes":
 [{"id", "kind", "label", "p"}], "edges": [[src, dst], ...]}``. Nodes and
@@ -27,7 +29,7 @@ from importlib import resources
 from typing import Mapping
 
 from .errors import IoError, ParseError, SchemaError, TooLargeError
-from .graph import AttackGraph, Node, NodeKind, PlainBag
+from .graph import AttackGraph, Node, NodeKind, PlainBag, edge_issue
 
 FORMAT_VERSION = "1"
 INPUT_LIMIT_BYTES = 64 * 1024 * 1024
@@ -90,19 +92,15 @@ def _parse_id(raw, where, ids: set[int]) -> int:
 
 
 def _parse_edge(raw, where, ids: set[int], seen: set) -> tuple[int, int]:
-    """An edge between two distinct known nodes, not seen before; added to ``seen``."""
+    """An integer pair that breaks no rule of :func:`edge_issue`; added to ``seen``."""
     if not (isinstance(raw, list) and len(raw) == 2) or any(
         isinstance(x, bool) or not isinstance(x, int) for x in raw
     ):
         raise _fail(where, "edge must be a [src, dst] integer pair")
     src, dst = raw
-    if src not in ids or dst not in ids:
-        raise _fail(where, f"edge [{src}, {dst}] references an unknown node")
-    if src == dst:
-        raise _fail(where, f"self-edge on node {src}")
-    if (src, dst) in seen:
-        raise _fail(where, f"duplicate edge [{src}, {dst}]")
-    seen.add((src, dst))
+    issue = edge_issue(src, dst, ids, seen)
+    if issue is not None:
+        raise _fail(where, issue.message)
     return src, dst
 
 

@@ -15,8 +15,10 @@ The bridge loop looks at Or nodes only. Leaves have no parents, And
 nodes read leaves and Or nodes and feed only Or nodes, and Or nodes read
 only And nodes. So every path from one Or node to another alternates
 Or -> And -> Or, and follows the Or-level arcs p => t, one for each Or p
-that feeds an And that feeds Or t. The builder keeps these arcs as edges
-are added, and the loop walks them instead of the whole graph.
+that feeds an And that feeds Or t. Every And has at most one Or child,
+known where its Or parents are picked: an action's target state, or a
+bridge's far end. So each arc is linked where its Or parent is wired,
+and the loop walks these arcs instead of the whole graph.
 
 Coverage is tracked incrementally: a bridge x -> a -> y puts on a cycle
 exactly the nodes in desc(y) & anc(x), so no strongly connected
@@ -106,34 +108,18 @@ def cyclic_or_fraction(graph: AttackGraph) -> float:
 class _Builder:
     """The edge set of a graph being generated, and its Or-level arcs.
 
-    Node ids from ``first_or`` up are Or nodes. ``up[t]`` and ``down[p]``
-    hold the Or-level arcs p => t, one for each Or p that feeds an And
-    that feeds Or t.
+    ``up[t]`` and ``down[p]`` hold the Or-level arcs p => t, one for each
+    Or p that feeds an And that feeds Or t.
     """
 
-    def __init__(self, first_or: int):
-        self.first_or = first_or
+    def __init__(self):
         self.edges: set[tuple[int, int]] = set()
-        self.or_parents: dict[int, set[int]] = {}  # And -> its Or parents
-        self.or_children: dict[int, set[int]] = {}  # And -> its Or children
         self.up: dict[int, set[int]] = {}
         self.down: dict[int, set[int]] = {}
         self.covered: set[int] = set()
 
-    def add_edge(self, src: int, dst: int) -> None:
-        if (src, dst) in self.edges:
-            return
-        self.edges.add((src, dst))
-        if src >= self.first_or:  # Or -> And
-            self.or_parents.setdefault(dst, set()).add(src)
-            for t in self.or_children.get(dst, ()):
-                self._link(src, t)
-        elif dst >= self.first_or:  # And -> Or
-            self.or_children.setdefault(src, set()).add(dst)
-            for p in self.or_parents.get(src, ()):
-                self._link(p, dst)
-
-    def _link(self, p: int, t: int) -> None:
+    def link(self, p: int, t: int) -> None:
+        """Add the arc p => t: Or p feeds an And whose Or child is t."""
         self.down.setdefault(p, set()).add(t)
         self.up.setdefault(t, set()).add(p)
 
@@ -190,7 +176,7 @@ def generate(params: GenParams) -> AttackGraph:
     regular_ands = ands[: n_and - bridge_budget]
     reserve = ands[n_and - bridge_budget :]
 
-    b = _Builder(n_leaf + n_and)
+    b = _Builder()
     rng = random.Random(params.seed)
 
     ranked = list(ors)
@@ -206,43 +192,41 @@ def generate(params: GenParams) -> AttackGraph:
 
     for a, t in targets:
         if leaves:
-            b.add_edge(rng.choice(leaves), a)
+            b.edges.add((rng.choice(leaves), a))
         eligible = ranked[: rank[t]] if t >= 0 else []
         extra = rng.randint(0, params.max_parents - 1)
         for _ in range(extra):
             # privilege states chain through each other: prefer an existing
             # state as prerequisite when one is available
             if eligible and (not leaves or rng.random() < 0.5):
-                b.add_edge(rng.choice(eligible), a)
+                p = rng.choice(eligible)
+                b.edges.add((p, a))
+                b.link(p, t)
             elif leaves:
-                b.add_edge(rng.choice(leaves), a)
+                b.edges.add((rng.choice(leaves), a))
         if t >= 0:
-            b.add_edge(a, t)
+            b.edges.add((a, t))
 
     # Insert back-edges until enough Or nodes sit on directed cycles.
     next_bridge = 0
 
-    def take_bridge() -> int:
+    def add_bridge(src_or: int, dst_or: int) -> None:
         nonlocal next_bridge
         if next_bridge >= len(reserve):
             raise InfeasibleError("cycle bridge budget exhausted")
         a = reserve[next_bridge]
         next_bridge += 1
-        return a
-
-    def add_bridge(src_or: int, dst_or: int) -> None:
-        a = take_bridge()
-        b.add_edge(src_or, a)
+        b.edges.add((src_or, a))
         if leaves:
-            b.add_edge(rng.choice(leaves), a)
-        b.add_edge(a, dst_or)
+            b.edges.add((rng.choice(leaves), a))
+        b.edges.add((a, dst_or))
+        b.link(src_or, dst_or)
 
     # The base wiring is acyclic by rank, so b.covered starts empty.
-    or_set = set(ors)
     covered = b.covered
     if target_or > 0:
         while len(covered) < target_or:
-            uncovered = sorted(or_set - covered)
+            uncovered = [v for v in ors if v not in covered]
             x = rng.choice(uncovered)
             anc = b.reach(x, b.up)
             ancestors = sorted(anc - {x})
@@ -268,9 +252,9 @@ def generate(params: GenParams) -> AttackGraph:
     # only, they cannot close new cycles.
     for a in reserve[next_bridge:]:
         if leaves:
-            b.add_edge(rng.choice(leaves), a)
+            b.edges.add((rng.choice(leaves), a))
         if ors:
-            b.add_edge(a, rng.choice(ors))
+            b.edges.add((a, rng.choice(ors)))
 
     nodes = [
         Node(v, NodeKind.LEAF, f"fact{v}", rng.choice(LEAF_PROB_PALETTE))
@@ -278,7 +262,7 @@ def generate(params: GenParams) -> AttackGraph:
     ]
     nodes += [Node(v, NodeKind.AND, f"rule{v}", 1.0) for v in ands]
     nodes += [Node(v, NodeKind.OR, f"state{v}", 1.0) for v in ors]
-    return AttackGraph(nodes, sorted(b.edges))
+    return AttackGraph(nodes, b.edges)
 
 
 def bench(

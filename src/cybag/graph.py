@@ -6,8 +6,10 @@ formalisms the model deliberately admits directed cycles; the solvers in
 :mod:`cybag.propagate` and :mod:`cybag.circuit` are built to handle them.
 
 :attr:`AttackGraph.dense` is the one dense-index view every engine reads:
-nodes as rows, kind codes, parent rows and the condensation into strongly
-connected components, each built on first use and cached on the graph.
+nodes as rows, their :class:`NodeKind`, parent rows and the condensation
+into strongly connected components, each built on first use and cached
+on the graph. :func:`edge_issue` holds the edge rules of :func:`validate`
+and of every reader in :mod:`cybag.formats`.
 
 Graphs are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
@@ -18,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
 DEFAULT_MAX_CYCLES = 10_000
-# Node kinds as the small ints the engines' inner loops compare against.
-KIND_LEAF, KIND_AND, KIND_OR = 0, 1, 2
 
 
 class NodeKind(Enum):
@@ -78,12 +78,10 @@ class AttackGraph:
 
     @cached_property
     def parents(self) -> dict[int, tuple[int, ...]]:
-        """Parent ids per node, ascending and distinct; every node id is a key."""
-        pa: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for src, dst in self.edges:
-            if dst in pa and src in pa:
-                pa[dst].add(src)
-        return {v: tuple(sorted(ps)) for v, ps in pa.items()}
+        """Parent ids per node, ascending and distinct; every node id is a
+        key. The id view of :attr:`DenseIndex.parents`."""
+        d = self.dense
+        return {v: tuple(d.ids[p] for p in ps) for v, ps in zip(d.ids, d.parents)}
 
     def node(self, node_id: int) -> Node:
         """The node with id ``node_id``; raises :class:`UnknownNodeError` if absent."""
@@ -115,23 +113,31 @@ class AttackGraph:
 class DenseIndex:
     """Nodes as rows 0..n-1 in ascending id order, for the engines' inner loops.
 
-    ``kinds`` holds ``KIND_*`` codes, ``probs`` local probabilities and
-    ``parents`` the ascending parent rows of each row, built on first use
-    so that node lookups and :func:`validate` never pay for them.
+    ``kinds`` holds :class:`NodeKind` members, compared with ``is``,
+    ``probs`` local probabilities and ``parents`` the ascending, distinct
+    parent rows of each row, built in one pass over the sorted edges
+    (skipping unknown ends) on first use, so that node lookups and
+    :func:`validate` never pay for them.
     """
 
     def __init__(self, graph: AttackGraph):
         self._graph = graph
         self.ids = list(graph.node_ids)
         self.index = {v: i for i, v in enumerate(self.ids)}
-        codes = {NodeKind.LEAF: KIND_LEAF, NodeKind.AND: KIND_AND, NodeKind.OR: KIND_OR}
-        self.kinds = [codes[n.kind] for n in graph.nodes]
+        self.kinds = [n.kind for n in graph.nodes]
         self.probs = [n.local_prob for n in graph.nodes]
 
     @cached_property
     def parents(self) -> list[tuple[int, ...]]:
-        # ids are ascending, so ascending parent ids map to ascending rows
-        return [tuple(self.index[p] for p in self._graph.parents[v]) for v in self.ids]
+        # the edges are sorted and the ids ascend: each row's parent rows
+        # arrive ascending, and a repeated edge right after its first copy
+        index, rows = self.index, [[] for _ in self.ids]
+        for src, dst in self._graph.edges:
+            if src in index and dst in index:
+                ps, p = rows[index[dst]], index[src]
+                if not ps or ps[-1] != p:
+                    ps.append(p)
+        return [tuple(ps) for ps in rows]
 
     def row(self, v: int) -> int:
         """Row of node ``v``; raises :class:`UnknownNodeError` if absent."""
@@ -278,6 +284,21 @@ class ValidationReport:
         return [i.code for i in self.warnings]
 
 
+def edge_issue(src: int, dst: int, ids: Container[int], seen: set) -> Issue | None:
+    """The first edge rule ``src -> dst`` breaks: an end not in ``ids``, a
+    self-edge, or an edge already in ``seen``. An edge that breaks none is
+    added to ``seen`` and None is returned."""
+    edge = (src, dst)
+    if src not in ids or dst not in ids:
+        return Issue("DANGLING_EDGE", edge, f"edge [{src}, {dst}] references an unknown node")
+    if src == dst:
+        return Issue("SELF_EDGE", edge, f"self-edge on node {src}")
+    if edge in seen:
+        return Issue("DUPLICATE_EDGE", edge, f"duplicate edge [{src}, {dst}]")
+    seen.add(edge)
+    return None
+
+
 def validate(graph: AttackGraph) -> ValidationReport:
     """Check the structural invariants of an attack graph.
 
@@ -296,26 +317,15 @@ def validate(graph: AttackGraph) -> ValidationReport:
             )
         seen.add(node.id)
 
-    index, kinds = graph.dense.index, graph.dense.kinds
+    index, kinds, leaf = graph.dense.index, graph.dense.kinds, NodeKind.LEAF
     seen_edges: set[tuple[int, int]] = set()
-    for edge in graph.edges:
-        src, dst = edge
-        if src not in index or dst not in index:
-            report.errors.append(
-                Issue("DANGLING_EDGE", edge, f"edge {edge} references an unknown node")
-            )
-            continue
-        if src == dst:
-            report.errors.append(Issue("SELF_EDGE", edge, f"self-edge on node {src}"))
-            continue
-        if edge in seen_edges:
-            report.errors.append(Issue("DUPLICATE_EDGE", edge, f"duplicate edge {edge}"))
-            continue
-        seen_edges.add(edge)
-        if kinds[index[dst]] == KIND_LEAF:
-            report.errors.append(
-                Issue("LEAF_HAS_PARENT", edge, f"leaf node {dst} has incoming edge from {src}")
-            )
+    for src, dst in graph.edges:
+        issue = edge_issue(src, dst, index, seen_edges)
+        if issue is None and kinds[index[dst]] is leaf:
+            message = f"leaf node {dst} has incoming edge from {src}"
+            issue = Issue("LEAF_HAS_PARENT", (src, dst), message)
+        if issue is not None:
+            report.errors.append(issue)
 
     incoming = {dst for _, dst in graph.edges}
     for node in graph.nodes:

@@ -37,7 +37,7 @@ import math
 from typing import Iterable
 
 from .errors import GraphCyclicError
-from .graph import KIND_AND, KIND_LEAF, AttackGraph, DenseIndex
+from .graph import AttackGraph, DenseIndex, NodeKind
 
 
 def conjunction(probs: Iterable[float]) -> float:
@@ -56,7 +56,8 @@ def _solve_index(d: DenseIndex, origin: int):
     Returns (probability, number of distinct nodes visited).
     """
     kinds, probs, parents = d.kinds, d.probs, d.parents
-    if kinds[origin] == KIND_LEAF:
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
+    if kinds[origin] is LEAF:
         return probs[origin], 1
 
     visited = bytearray(len(kinds))
@@ -78,27 +79,27 @@ def _solve_index(d: DenseIndex, origin: int):
             if u == origin:
                 contrib = 0.0
             elif visited[u]:
-                contrib = probs[u] if kinds[u] == KIND_LEAF else 0.0
+                contrib = probs[u] if kinds[u] is LEAF else 0.0
             else:
                 visited[u] = 1
                 visits += 1
-                if kinds[u] == KIND_LEAF:
+                if kinds[u] is LEAF:
                     contrib = probs[u]
                 else:
                     stack.append([u, parents[u], 0, 1.0])
                     descended = True
                     break
-            if kinds[v] == KIND_AND:
+            if kinds[v] is AND:
                 frame[3] *= contrib
             else:
                 frame[3] *= 1.0 - contrib
         if descended:
             continue
-        value = probs[v] * (frame[3] if kinds[v] == KIND_AND else 1.0 - frame[3])
+        value = probs[v] * (frame[3] if kinds[v] is AND else 1.0 - frame[3])
         stack.pop()
         if stack:
             parent_frame = stack[-1]
-            if kinds[parent_frame[0]] == KIND_AND:
+            if kinds[parent_frame[0]] is AND:
                 parent_frame[3] *= value
             else:
                 parent_frame[3] *= 1.0 - value
@@ -145,8 +146,9 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     kinds, probs, parents = d.kinds, d.probs, d.parents
     n = len(kinds)
 
-    template = bytearray(k == KIND_LEAF for k in kinds)
-    ands = [k == KIND_AND for k in kinds]
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
+    template = bytearray(k is LEAF for k in kinds)
+    ands = [k is AND for k in kinds]
     seen = [probs[v] if template[v] else 0.0 for v in range(n)]
     start = [1.0] * n
     tail: list[tuple[int, ...]] = [()] * n
@@ -218,10 +220,11 @@ def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:
     if any(cyclic for _, cyclic in d.blocks):
         raise GraphCyclicError("closed-form evaluation requires an acyclic graph")
     values = d.probs[:]
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
     # an acyclic graph's components are single rows in topological order
     for (v,), _ in d.blocks:
-        if d.kinds[v] == KIND_AND:
+        if d.kinds[v] is AND:
             values[v] *= conjunction(values[p] for p in d.parents[v])
-        elif d.kinds[v] != KIND_LEAF:
+        elif d.kinds[v] is not LEAF:
             values[v] *= disjunction(values[p] for p in d.parents[v])
     return dict(zip(d.ids, values))

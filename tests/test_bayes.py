@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cybag.bayes import (
     WIDTH_LIMIT,
+    Factor,
     brute_force_marginal,
     eliminate,
     elimination_order,
@@ -226,3 +227,10 @@ def test_width_limit_bounds_every_product(wide_products):
     assert max(len(ps) for ps in wide_products.parents.values()) <= WIDTH_LIMIT
     with pytest.raises(WidthLimitError, match="tables over more than 21 variables"):
         eliminate(wide_products, 69)
+
+
+def test_factor_rejects_unsorted_scope_and_mismatched_shape():
+    with pytest.raises(ValueError, match="ascending"):
+        Factor((1, 0), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        Factor((0, 1), np.ones(2))

@@ -373,3 +373,15 @@ def test_reachability_mc_draws_straight_into_the_cells(monkeypatch):
     # until the chunk is evaluated the draws have held the 2^16 bool cells
     # and float pieces of a sixteenth of them, never a second row of bits
     assert filled[0] < (1 << 16) + (1 << 14)
+
+
+def test_reachability_mc_rejects_zero_samples():
+    g = AttackGraph([Node(0, L, "", 0.5)], [])
+    with pytest.raises(ValueError, match="samples"):
+        reachability_mc(g, 0, 0, seed=0)
+
+
+def test_empty_graph_enumerates_one_empty_chunk():
+    # an empty cell matrix fits any budget
+    [(idx, hits)] = circuit.enumerate_first_hits(AttackGraph([], []), 20)
+    assert idx.tolist() == [0] and hits.shape == (0, 1)

@@ -183,6 +183,10 @@ def test_bench_rejects_garbage_sizes(tmp_path, capsys):
         ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "150:-25:-25"],
         ["bench", "--sizes", "2", "--cyclicities", "0", "--reps", "1"],
         ["bench", "--sizes", "40", "--cyclicities", "101", "--reps", "1"],
+        ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "50:50"],
+        ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "a:b:c"],
+        ["bench", "--sizes", ",", "--cyclicities", "0", "--reps", "1"],
+        ["bench", "--sizes", "40", "--cyclicities", "0", "--reps", "0"],
     ],
 )
 def test_generator_parameters_are_usage_errors(args, tmp_path, capsys):
@@ -190,6 +194,19 @@ def test_generator_parameters_are_usage_errors(args, tmp_path, capsys):
     assert run(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not out.exists()
+
+
+def test_bench_takes_the_fractional_cyclicities_generate_takes(tmp_path):
+    from cybag.generator import nodes_on_cycles
+
+    out, graph = tmp_path / "bench.csv", tmp_path / "g.json"
+    argv = ["bench", "--sizes", "60", "--cyclicities", "12.5,100", "--reps", "1"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert run(["generate", "--n", "60", "--cyclicity", "12.5", "--out", str(graph)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[1] for row in rows] == ["12.5", "100"]
+    # bench's first graph has seed 0, as generate's default
+    assert int(rows[0][4]) == len(nodes_on_cycles(read_json(graph)))
 
 
 def test_cycles_max_must_be_non_negative(capsys):

@@ -13,9 +13,10 @@ from cybag.formats import (
     read_plain_json,
     write_dot,
     write_json,
+    write_text,
 )
 from cybag.generator import GenParams, generate
-from cybag.graph import AttackGraph, Node, NodeKind, convert_plain
+from cybag.graph import AttackGraph, Node, NodeKind, convert_plain, validate
 from cybag.propagate import solve_all
 
 FIXTURES = [
@@ -140,12 +141,40 @@ def test_schema_error_bad_probability(tmp_path):
         ({"id": 0, "kind": ["leaf"]}, "nodes[0].kind"),
         ({"id": 0, "kind": "leaf", "p": 10**400}, "nodes[0].p"),
         ({"id": 0.0, "kind": "leaf"}, "nodes[0].id"),
+        (5, "nodes[0]"),
+        ({"id": 0, "kind": "leaf", "label": 3}, "nodes[0].label"),
+        ({"id": 0, "kind": "leaf", "p": True}, "nodes[0].p"),
     ],
 )
 def test_schema_error_for_mistyped_values(node, path, tmp_path):
     with pytest.raises(SchemaError) as exc:
         read_json(write_doc(tmp_path, make_doc(nodes=[node], edges=[])))
     assert exc.value.path == path
+
+
+@pytest.mark.parametrize(
+    "edge, code",
+    [([0, 9], "DANGLING_EDGE"), ([1, 1], "SELF_EDGE"), ([0, 1], "DUPLICATE_EDGE")],
+    ids=["unknown-end", "self-edge", "repeat"],
+)
+def test_readers_and_validate_share_the_edge_rules(edge, code, tmp_path):
+    """validate names the rule the second edge breaks with the message the
+    JSON and CSV readers raise after its path or line."""
+    edges = [[0, 1], edge]
+    graph = AttackGraph([Node(0, NodeKind.LEAF), Node(1, NodeKind.AND)], map(tuple, edges))
+    [issue] = validate(graph).errors
+    assert (issue.code, issue.subject) == (code, tuple(edge))
+
+    with pytest.raises(SchemaError) as exc:
+        read_json(write_doc(tmp_path, make_doc(edges=edges)))
+    assert str(exc.value) == f"edges[1]: {issue.message}"
+
+    vertices, arcs = tmp_path / "v.csv", tmp_path / "a.csv"
+    vertices.write_text('0,"a",LEAF,0.5\n1,"b",AND,1\n')
+    arcs.write_text("".join(f"{src},{dst}\n" for src, dst in edges))
+    with pytest.raises(ParseError) as exc:
+        read_mulval_csv(vertices, arcs)
+    assert str(exc.value) == f"line 2: {issue.message} in {arcs}"
 
 
 def test_plain_duplicate_edge_is_a_schema_error(tmp_path):
@@ -164,6 +193,11 @@ def test_plain_duplicate_edge_is_a_schema_error(tmp_path):
 def test_read_json_missing_file(tmp_path):
     with pytest.raises(IoError):
         read_json(tmp_path / "nope.json")
+
+
+def test_write_text_into_missing_directory(tmp_path):
+    with pytest.raises(IoError):
+        write_text(tmp_path / "missing" / "out.txt", "x\n")
 
 
 def test_read_json_invalid_json(tmp_path):
@@ -330,3 +364,16 @@ def test_plain_schema_errors(tmp_path):
     )
     with pytest.raises(SchemaError):
         read_plain_json(path)
+
+
+def test_plain_imply_edge_from_a_condition_is_a_schema_error(tmp_path):
+    path = tmp_path / "p.json"
+    doc = {
+        "exploits": [{"id": 1}],
+        "conditions": [{"id": 0}],
+        "imply_edges": [[0, 1]],
+    }
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="imply edge") as exc:
+        read_plain_json(path)
+    assert exc.value.path == "$"

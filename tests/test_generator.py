@@ -147,15 +147,15 @@ def gen_params(draw):
 def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
     """The incremental cover set matches a full SCC recomputation, and the
     Or-level arcs match the Or -> And -> Or paths of the edges."""
+    n_leaf, n_and, _ = generator._counts(params.n, params.ratio)
+    ors = set(range(n_leaf + n_and, params.n))
     cover = generator._Builder.cover
-    bridges = first_or = 0
+    bridges = 0
 
     def checked(self, *args):
-        nonlocal bridges, first_or
+        nonlocal bridges
         cover(self, *args)
         bridges += 1
-        first_or = self.first_or
-        ors = set(range(self.first_or, params.n))
         assert self.covered == scc_coverage(self.edges) & ors
         out = {}
         for s, t in self.edges:
@@ -174,8 +174,13 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
         except InfeasibleError:
             return
     assert bridges > 0
-    assert {v.id for v in g.nodes if v.kind is O} == set(range(first_or, params.n))
+    assert {v.id for v in g.nodes if v.kind is O} == ors
     assert cyclic_or_fraction(g) >= params.cyclicity / 100.0
+
+
+def test_cyclic_or_fraction_without_or_nodes_is_zero():
+    g = AttackGraph([Node(0, L), Node(1, A)], [(0, 1), (1, 1)])
+    assert cyclic_or_fraction(g) == 0.0
 
 
 def test_generate_never_rebuilds_sccs(monkeypatch):

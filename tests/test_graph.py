@@ -26,6 +26,11 @@ def test_node_rejects_bad_probability():
         Node(0, L, "x", -0.1)
 
 
+def test_node_rejects_negative_id():
+    with pytest.raises(ValueError, match="non-negative"):
+        Node(-1, L)
+
+
 def test_validate_well_formed(fig5):
     report = validate(fig5)
     assert report.ok
@@ -139,6 +144,10 @@ def test_is_loop_free_antiparallel_pair():
     assert not is_loop_free(g)
 
 
+def test_is_loop_free_self_edge():
+    assert not is_loop_free(AttackGraph([Node(0, O)], [(0, 0)]))
+
+
 def test_loop_free_implies_acyclic(forest_builder):
     for seed in range(20):
         g = forest_builder(seed, 3 + seed)
@@ -236,6 +245,11 @@ def test_plainbag_rejects_nonbipartite():
         PlainBag([1], [1], [], [], {})
     with pytest.raises(ValueError):
         PlainBag([1], [0], [(1, 0)], [], {})
+
+
+def test_plainbag_rejects_imply_edge_from_a_condition():
+    with pytest.raises(ValueError, match="imply edge"):
+        PlainBag([1], [0], [], [(0, 1)], {})
 
 
 def test_graph_is_canonically_ordered():

@@ -2,7 +2,8 @@
 
 ``graph.py`` computes strongly connected components (Tarjan) and simple
 cycles (Johnson) itself; networkx stays a test-only reference. Graphs
-are random digraphs with non-contiguous ids and varied density.
+are random digraphs with non-contiguous ids and varied density. The
+one-pass parent rows are checked against a set-and-sort reference.
 """
 
 from itertools import islice
@@ -86,3 +87,28 @@ def test_cycle_limit_carries_exactly_k_real_cycles(g, data):
     assert len(partial) == k
     assert len(set(partial)) == k
     assert set(partial) <= set(cycles)
+
+
+def reference_parents(g):
+    """Parent ids per node: each node's set of known sources, sorted."""
+    pa = {v: set() for v in g.node_ids}
+    for src, dst in g.edges:
+        if src in pa and dst in pa:
+            pa[dst].add(src)
+    return {v: tuple(sorted(ps)) for v, ps in pa.items()}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parents_match_the_set_and_sort_definition(data):
+    """Repeated, self and dangling edges included, the one-pass parent rows
+    and their id view equal the reference."""
+    ids = data.draw(st.lists(st.integers(0, 30), max_size=12, unique=True))
+    ends = st.integers(0, 30)
+    edges = data.draw(st.lists(st.tuples(ends, ends), max_size=40))
+    edges += data.draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    g = AttackGraph([Node(v, NodeKind.OR) for v in ids], edges)
+    ref = reference_parents(g)
+    assert g.parents == ref
+    d = g.dense
+    assert d.parents == [tuple(d.index[p] for p in ref[v]) for v in d.ids]
