@@ -216,7 +216,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--sizes and --cyclicities must be non-empty")
     for n in sizes:
         for c in cyclicities:
-            _gen_params(n=n, cyclicity=c)
+            _gen_params(n=n, cyclicity=c, seed=args.seed)
     if args.reps < 1:
         raise _UsageError("--reps must be at least 1")
     rows = generator.bench(sizes, cyclicities, args.reps, args.seed)

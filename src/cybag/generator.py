@@ -67,6 +67,9 @@ class GenParams:
             raise ValueError(f"ratio must sum to 100, got {self.ratio}")
         if self.max_parents < 1:
             raise ValueError("max_parents must be >= 1")
+        if self.seed < 0:
+            # random.Random(-s) seeds exactly like Random(s)
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,14 @@ def generate(params: GenParams) -> AttackGraph:
     limit = INPUT_LIMIT_BYTES // 64
     if params.n > limit:
         raise TooLargeError(f"{params.n} nodes exceed the {limit}-node generator limit")
+    # each action draws up to max_parents - 1 parent picks, duplicates
+    # dropped; this budget admits the default 4 up to the node limit
+    picks = INPUT_LIMIT_BYTES // 16
+    if params.n * params.max_parents > picks:
+        raise TooLargeError(
+            f"{params.n} nodes with up to {params.max_parents} parents each exceed the "
+            f"{picks}-pick generator budget"
+        )
     n_leaf, n_and, n_or = _counts(params.n, params.ratio)
     leaves = list(range(n_leaf))
     ands = list(range(n_leaf, n_leaf + n_and))

@@ -16,12 +16,15 @@ because each computation keeps a visited set rooted at the queried node:
 And nodes combine parent contributions as a product, Or nodes as a
 noisy-or, and both multiply by their own local probability afterwards.
 
-:func:`solve_all` runs that recursion from every node but does once per
-call the work that does not depend on the origin: leaf contributions are
-constants, and a node on no cycle whose whole interior ancestry feeds
-only it is solved once and reused. Every float comes out of the same
-multiplications in the same order, so it equals :func:`solve_node` bit
-for bit.
+One kernel, :func:`_walk`, runs that recursion for both entry points.
+:func:`solve_node` hands it the plain parent rows and a visited set
+holding only the origin. :func:`solve_all` runs it from every node but
+first does once per call the work that does not depend on the origin:
+leaf contributions are constants, and a node on no cycle whose whole
+interior ancestry feeds only it is solved once and reused. Every float
+comes out of the same multiplications in the same order, so the two
+agree bit for bit. The rooted recursion written out plainly lives in the
+tests, as the oracle both are checked against.
 
 :func:`solve_acyclic_closed_form` is the single-pass evaluator for acyclic
 graphs; on loop-free graphs it agrees with :func:`solve_node` exactly.
@@ -37,7 +40,7 @@ import math
 from typing import Iterable
 
 from .errors import GraphCyclicError
-from .graph import AttackGraph, DenseIndex, NodeKind
+from .graph import AttackGraph, NodeKind
 
 
 def conjunction(probs: Iterable[float]) -> float:
@@ -50,62 +53,41 @@ def disjunction(probs: Iterable[float]) -> float:
     return 1.0 - math.prod(1.0 - p for p in probs)
 
 
-def _solve_index(d: DenseIndex, origin: int):
-    """Run the rooted recursion from row ``origin``, parents in ascending id order.
+def _walk(origin, visited, tail, start, ands, seen, probs, memo, closed) -> float:
+    """Run the rooted recursion from row ``origin``; the one loop behind
+    :func:`solve_node` and :func:`solve_all`.
 
-    Returns (probability, number of distinct nodes visited).
+    A marked row contributes ``seen[row]``. An unmarked row is marked and
+    contributes ``memo[row]`` unless that is None, in which case its frame
+    starts from ``start[row]`` and walks the parent rows ``tail[row]``.
+    A popped row that is ``closed`` stores its value in ``memo``.
     """
-    kinds, probs, parents = d.kinds, d.probs, d.parents
-    LEAF, AND = NodeKind.LEAF, NodeKind.AND
-    if kinds[origin] is LEAF:
-        return probs[origin], 1
-
-    visited = bytearray(len(kinds))
-    visited[origin] = 1
-    visits = 1
-
-    # Frame: [node, parent tuple, next position, accumulator]. For And
-    # nodes the accumulator is the running product of contributions, for
-    # Or nodes the running product of complements.
-    stack = [[origin, parents[origin], 0, 1.0]]
-    result = 0.0
-    while stack:
-        frame = stack[-1]
-        v, ps = frame[0], frame[1]
-        descended = False
-        while frame[2] < len(ps):
-            u = ps[frame[2]]
-            frame[2] += 1
-            if u == origin:
-                contrib = 0.0
-            elif visited[u]:
-                contrib = probs[u] if kinds[u] is LEAF else 0.0
+    # The current frame lives in locals, suspended frames on the stack.
+    # For And rows ``acc`` is the running product of contributions, for
+    # Or rows the running product of complements.
+    v, ps, i, acc, is_and = origin, tail[origin], 0, start[origin], ands[origin]
+    stack = []
+    while True:
+        if i < len(ps):
+            u = ps[i]
+            i += 1
+            if visited[u]:
+                contrib = seen[u]
             else:
                 visited[u] = 1
-                visits += 1
-                if kinds[u] is LEAF:
-                    contrib = probs[u]
-                else:
-                    stack.append([u, parents[u], 0, 1.0])
-                    descended = True
-                    break
-            if kinds[v] is AND:
-                frame[3] *= contrib
-            else:
-                frame[3] *= 1.0 - contrib
-        if descended:
-            continue
-        value = probs[v] * (frame[3] if kinds[v] is AND else 1.0 - frame[3])
-        stack.pop()
-        if stack:
-            parent_frame = stack[-1]
-            if kinds[parent_frame[0]] is AND:
-                parent_frame[3] *= value
-            else:
-                parent_frame[3] *= 1.0 - value
+                contrib = memo[u]
+                if contrib is None:
+                    stack.append((v, ps, i, acc, is_and))
+                    v, ps, i, acc, is_and = u, tail[u], 0, start[u], ands[u]
+                    continue
         else:
-            result = value
-    return result, visits
+            contrib = probs[v] * (acc if is_and else 1.0 - acc)
+            if closed[v]:
+                memo[v] = contrib
+            if not stack:
+                return contrib
+            v, ps, i, acc, is_and = stack.pop()
+        acc *= contrib if is_and else 1.0 - contrib
 
 
 def solve_node(graph: AttackGraph, v: int) -> float:
@@ -116,7 +98,24 @@ def solve_node(graph: AttackGraph, v: int) -> float:
 def solve_node_stats(graph: AttackGraph, v: int) -> tuple[float, int]:
     """Like :func:`solve_node` but also reports how many distinct nodes the
     recursion touched (at most one visit per node is guaranteed)."""
-    return _solve_index(graph.dense, graph.dense.row(v))
+    d = graph.dense
+    origin = d.row(v)
+    kinds, probs = d.kinds, d.probs
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
+    if kinds[origin] is LEAF:
+        return probs[origin], 1
+    n = len(kinds)
+    # Nothing is folded and nothing starts marked, so every row the walk
+    # reaches is marked; an unmarked leaf contributes through ``memo``.
+    memo = [p if k is LEAF else None for p, k in zip(probs, kinds)]
+    seen = [0.0 if p is None else p for p in memo]
+    visited = bytearray(n)
+    visited[origin] = 1
+    ands = [k is AND for k in kinds]
+    value = _walk(
+        origin, visited, d.parents, [1.0] * n, ands, seen, probs, memo, bytearray(n)
+    )
+    return value, visited.count(1)
 
 
 def solve_all(graph: AttackGraph) -> dict[int, float]:
@@ -176,37 +175,12 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     memo: list[float | None] = [None] * n
     values = seen[:]
     for origin in order:
-        if template[origin]:
-            continue
-        visited = template[:]
-        visited[origin] = 1
-        # The current frame lives in locals, suspended frames on the stack.
-        # For And rows ``acc`` is the running product of contributions, for
-        # Or rows the running product of complements.
-        v, ps, i, acc, is_and = origin, tail[origin], 0, start[origin], ands[origin]
-        stack = []
-        while True:
-            if i < len(ps):
-                u = ps[i]
-                i += 1
-                if visited[u]:
-                    contrib = seen[u]
-                else:
-                    visited[u] = 1
-                    contrib = memo[u]
-                    if contrib is None:
-                        stack.append((v, ps, i, acc, is_and))
-                        v, ps, i, acc, is_and = u, tail[u], 0, start[u], ands[u]
-                        continue
-            else:
-                contrib = probs[v] * (acc if is_and else 1.0 - acc)
-                if closed[v]:
-                    memo[v] = contrib
-                if not stack:
-                    break
-                v, ps, i, acc, is_and = stack.pop()
-            acc *= contrib if is_and else 1.0 - contrib
-        values[origin] = contrib
+        if not template[origin]:
+            visited = template[:]
+            visited[origin] = 1
+            values[origin] = _walk(
+                origin, visited, tail, start, ands, seen, probs, memo, closed
+            )
     return dict(zip(d.ids, values))
 
 

@@ -187,6 +187,9 @@ def test_bench_rejects_garbage_sizes(tmp_path, capsys):
         ["generate", "--n", "20", "--cyclicity", "0", "--ratio", "a:b:c"],
         ["bench", "--sizes", ",", "--cyclicities", "0", "--reps", "1"],
         ["bench", "--sizes", "40", "--cyclicities", "0", "--reps", "0"],
+        # random.Random(-s) seeds like Random(s), so -7 would repeat 7
+        ["generate", "--n", "20", "--cyclicity", "0", "--seed", "-7"],
+        ["bench", "--sizes", "40", "--cyclicities", "0", "--reps", "1", "--seed", "-1"],
     ],
 )
 def test_generator_parameters_are_usage_errors(args, tmp_path, capsys):
@@ -344,8 +347,10 @@ def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
     [
         ["generate", "--n", "10000000000", "--cyclicity", "0", "--out", "{out}"],
         ["bench", "--sizes", "10000000000", "--cyclicities", "0", "--reps", "1", "--out", "{out}"],
+        ["generate", "--n", "30", "--cyclicity", "0", "--max-parents", "100000000",
+         "--out", "{out}"],
     ],
-    ids=["generate", "bench"],
+    ids=["generate", "bench", "max-parents"],
 )
 def test_huge_generated_graph_hits_the_limit_up_front(argv, tmp_path, capsys):
     out = str(tmp_path / "out")

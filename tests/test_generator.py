@@ -233,3 +233,12 @@ def test_node_limit_is_what_a_reader_could_take_back(tmp_path):
     assert (tmp_path / "gen.json").stat().st_size > 64 * 100
     with pytest.raises(TooLargeError, match="generator limit"):
         generate(GenParams(n=INPUT_LIMIT_BYTES // 64 + 1, cyclicity=50))
+
+
+def test_parent_picks_are_bounded_by_a_budget():
+    # every action draws up to max_parents - 1 picks, so n * max_parents
+    # bounds the wiring work; the default 4 fits right up to the node limit
+    budget = INPUT_LIMIT_BYTES // 16
+    assert budget == (INPUT_LIMIT_BYTES // 64) * 4
+    with pytest.raises(TooLargeError, match=f"{budget}-pick generator budget"):
+        generate(GenParams(n=3, cyclicity=0, max_parents=budget // 3 + 1))

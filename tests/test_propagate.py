@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from cybag.errors import GraphCyclicError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
-from cybag.graph import AttackGraph, Node, NodeKind
+from cybag.graph import AttackGraph, DenseIndex, Node, NodeKind
 from cybag.propagate import (
-    _solve_index,
     conjunction,
     disjunction,
     solve_acyclic_closed_form,
@@ -159,12 +158,75 @@ def test_parent_order_is_immaterial_on_loop_free_graphs(forest_builder):
             assert solve_node(rev, top - v) == pytest.approx(solve_node(g, v), abs=1e-12)
 
 
+# The rooted recursion written out plainly, one frame per visited interior
+# row and nothing shared: the oracle that propagate's kernel must match.
+def _solve_index(d: DenseIndex, origin: int):
+    """Run the rooted recursion from row ``origin``, parents in ascending id order.
+
+    Returns (probability, number of distinct nodes visited).
+    """
+    kinds, probs, parents = d.kinds, d.probs, d.parents
+    LEAF, AND = NodeKind.LEAF, NodeKind.AND
+    if kinds[origin] is LEAF:
+        return probs[origin], 1
+
+    visited = bytearray(len(kinds))
+    visited[origin] = 1
+    visits = 1
+
+    # Frame: [node, parent tuple, next position, accumulator]. For And
+    # nodes the accumulator is the running product of contributions, for
+    # Or nodes the running product of complements.
+    stack = [[origin, parents[origin], 0, 1.0]]
+    result = 0.0
+    while stack:
+        frame = stack[-1]
+        v, ps = frame[0], frame[1]
+        descended = False
+        while frame[2] < len(ps):
+            u = ps[frame[2]]
+            frame[2] += 1
+            if u == origin:
+                contrib = 0.0
+            elif visited[u]:
+                contrib = probs[u] if kinds[u] is LEAF else 0.0
+            else:
+                visited[u] = 1
+                visits += 1
+                if kinds[u] is LEAF:
+                    contrib = probs[u]
+                else:
+                    stack.append([u, parents[u], 0, 1.0])
+                    descended = True
+                    break
+            if kinds[v] is AND:
+                frame[3] *= contrib
+            else:
+                frame[3] *= 1.0 - contrib
+        if descended:
+            continue
+        value = probs[v] * (frame[3] if kinds[v] is AND else 1.0 - frame[3])
+        stack.pop()
+        if stack:
+            parent_frame = stack[-1]
+            if kinds[parent_frame[0]] is AND:
+                parent_frame[3] *= value
+            else:
+                parent_frame[3] *= 1.0 - value
+        else:
+            result = value
+    return result, visits
+
+
 def assert_solve_all_is_bit_identical(g):
     d = g.dense
     probs = solve_all(g)
     assert list(probs) == d.ids
     for row, v in enumerate(d.ids):
-        assert probs[v].hex() == _solve_index(d, row)[0].hex(), v
+        value, visits = _solve_index(d, row)
+        assert probs[v].hex() == value.hex(), v
+        stats = solve_node_stats(g, v)
+        assert (stats[0].hex(), stats[1]) == (value.hex(), visits), v
 
 
 @st.composite

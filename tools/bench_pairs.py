@@ -9,7 +9,10 @@ pairs the change wins (metric directions come from BENCHMARK.json). With
 instead. Each set of pairs is stored under its workload name, or under
 the NAME of a ``--runs WORKLOAD:FIRST-LAST:NAME`` spec, so one workload
 can hold several sets. Sets already in OUT are kept, so they can be run
-one at a time.
+one at a time. A set needs at least two seeds, for its quartiles, and every
+spec is checked before the first run. A run that prints no result line
+stops the tool with that run's exit code and the tail of its stderr; the
+sets finished before it are already in OUT.
 
 Run from the repository root, with both checkouts as plain directories:
 
@@ -39,6 +42,11 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
+    if len(lines) < 2 or not lines[-1].startswith("{"):
+        tail = "\n".join(proc.stderr.strip().splitlines()[-10:])
+        print(f"{workload} seed {seed} in {checkout} printed no result line "
+              f"(exit code {proc.returncode}); its stderr ends:\n{tail}", file=sys.stderr)
+        raise SystemExit(proc.returncode or 1)
     env = json.loads(lines[0].removeprefix("environment "))
     last = json.loads(lines[-1])
     values = {name: entry["value"] for name, entry in last["metrics"].items()}
@@ -73,6 +81,13 @@ def main() -> int:
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args()
+    sets = []
+    for spec in args.runs:
+        workload, seeds, *name = spec.split(":")
+        first, last = (int(s) for s in seeds.split("-"))
+        if last <= first:
+            parser.error(f"--runs {spec}: a set needs at least two seeds for its quartiles")
+        sets.append((workload, list(range(first, last + 1)), name[0] if name else workload))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower"
@@ -92,24 +107,21 @@ def main() -> int:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric}
     workloads = doc.setdefault("workloads", {})
-    for spec in args.runs:
-        workload, seeds, *name = spec.split(":")
-        first, last = (int(s) for s in seeds.split("-"))
+    for workload, seeds, name in sets:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for k, seed in enumerate(range(first, last + 1)):
+        for k, seed in enumerate(seeds):
             sides = [("parent", args.parent), ("change", args.change_dir)]
             for side, checkout in sides if k % 2 == 0 else sides[::-1]:
                 runs[side].append(run_once(checkout, workload, seed, args.trace))
                 print(workload, seed, side, json.dumps(runs[side][-1]), flush=True)
-        entry = {"workload": workload, "trace": int(args.trace),
-                 "seeds": list(range(first, last + 1))}
+        entry = {"workload": workload, "trace": int(args.trace), "seeds": seeds}
         for side in runs:
             entry.setdefault("failed", {})[side] = [r["failed"] for r in runs[side]]
             entry.setdefault("attempted", {})[side] = [r["attempted"] for r in runs[side]]
         for metric, is_lower in lower.items():
             entry[metric] = summary([r[metric] for r in runs["parent"]],
                                     [r[metric] for r in runs["change"]], is_lower)
-        workloads[name[0] if name else workload] = entry
+        workloads[name] = entry
         doc["machine"] = runs["change"][-1]["machine"]
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
