@@ -43,6 +43,16 @@ class Node:
     local_prob: float = 1.0
 
     def __post_init__(self):
+        # a non-plain id or probability (a numpy scalar, say) is checked and converted
+        if type(self.id) is not int or type(self.local_prob) is not float:
+            import numbers
+
+            if type(self.id) is bool or not isinstance(self.id, numbers.Integral):
+                raise ValueError(f"node id must be an integer, got {self.id!r}")
+            if type(self.local_prob) is bool or not isinstance(self.local_prob, numbers.Real):
+                raise ValueError(f"local_prob must be a real number, got {self.local_prob!r}")
+            object.__setattr__(self, "id", int(self.id))
+            object.__setattr__(self, "local_prob", float(self.local_prob))
         if self.id < 0:
             raise ValueError(f"node id must be non-negative, got {self.id}")
         if not 0.0 <= self.local_prob <= 1.0:
@@ -65,12 +75,8 @@ class AttackGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[int, int]]):
-        object.__setattr__(
-            self, "nodes", tuple(sorted(nodes, key=lambda n: n.id))
-        )
-        object.__setattr__(
-            self, "edges", tuple(sorted((int(a), int(b)) for a, b in edges))
-        )
+        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
+        object.__setattr__(self, "edges", tuple(sorted((int(a), int(b)) for a, b in edges)))
 
     @cached_property
     def node_ids(self) -> tuple[int, ...]:
@@ -411,10 +417,12 @@ def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> lis
 def is_loop_free(graph: AttackGraph) -> bool:
     """True when the undirected version of the graph is a forest.
 
-    Each directed edge counts as its own undirected edge, so a pair of
-    antiparallel edges already forms a loop. Loop-free implies acyclic.
+    Each distinct directed edge counts as its own undirected edge, so a
+    pair of antiparallel edges already forms a loop; a repeated edge counts
+    once and an edge with an unknown end is skipped, as in every engine.
+    Loop-free implies acyclic.
     """
-    parent: dict[int, int] = {v: v for v in graph.node_ids}
+    parent = list(range(len(graph.node_ids)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -422,13 +430,12 @@ def is_loop_free(graph: AttackGraph) -> bool:
             x = parent[x]
         return x
 
-    for src, dst in graph.edges:
-        if src == dst:
-            return False
-        a, b = find(src), find(dst)
-        if a == b:
-            return False
-        parent[a] = b
+    for v, ps in enumerate(graph.dense.parents):
+        for p in ps:
+            a, b = find(p), find(v)
+            if a == b:
+                return False
+            parent[a] = b
     return True
 
 

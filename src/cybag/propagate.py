@@ -16,18 +16,13 @@ because each computation keeps a visited set rooted at the queried node:
 And nodes combine parent contributions as a product, Or nodes as a
 noisy-or, and both multiply by their own local probability afterwards.
 
-One kernel, :func:`_walk`, runs that recursion for both entry points.
-:func:`solve_node` hands it the plain parent rows and a visited set
-holding only the origin. :func:`solve_all` runs it from every node but
-first does once per call the work that does not depend on the origin:
-leaf contributions are constants, and a node on no cycle whose whole
-interior ancestry feeds only it is solved once and reused. Every float
-comes out of the same multiplications in the same order, so the two
-agree bit for bit. The rooted recursion written out plainly lives in the
-tests, as the oracle both are checked against.
-
-:func:`solve_acyclic_closed_form` is the single-pass evaluator for acyclic
-graphs; on loop-free graphs it agrees with :func:`solve_node` exactly.
+:func:`solve_node` runs that recursion in the kernel :func:`_walk`.
+:func:`solve_all` makes one pass over the condensation in topological
+order: a row on no cycle whose cone is a tree takes the closed-form step
+:func:`_closed_form`, the product the recursion multiplies there, and
+every other interior row runs :func:`_walk`. So both agree bit for bit
+with the rooted recursion written out plainly in the tests, the oracle.
+:func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
 
 Recursion is realized with an explicit stack, so graphs with tens of
 thousands of nodes cannot overflow the interpreter stack. Everything here
@@ -40,7 +35,7 @@ import math
 from typing import Iterable
 
 from .errors import GraphCyclicError
-from .graph import AttackGraph, NodeKind
+from .graph import AttackGraph, DenseIndex, NodeKind
 
 
 def conjunction(probs: Iterable[float]) -> float:
@@ -53,14 +48,20 @@ def disjunction(probs: Iterable[float]) -> float:
     return 1.0 - math.prod(1.0 - p for p in probs)
 
 
-def _walk(origin, visited, tail, start, ands, seen, probs, memo, closed) -> float:
+def _closed_form(d: DenseIndex, v: int, values: list[float]) -> float:
+    """Row ``v``'s local probability times the conjunction (And) or the
+    disjunction (Or) of its parents' ``values``."""
+    gate = conjunction if d.kinds[v] is NodeKind.AND else disjunction
+    return d.probs[v] * gate(values[p] for p in d.parents[v])
+
+
+def _walk(origin, visited, tail, start, ands, seen, probs, memo) -> float:
     """Run the rooted recursion from row ``origin``; the one loop behind
-    :func:`solve_node` and :func:`solve_all`.
+    :func:`solve_node` and the rows of :func:`solve_all` that are not closed.
 
     A marked row contributes ``seen[row]``. An unmarked row is marked and
     contributes ``memo[row]`` unless that is None, in which case its frame
     starts from ``start[row]`` and walks the parent rows ``tail[row]``.
-    A popped row that is ``closed`` stores its value in ``memo``.
     """
     # The current frame lives in locals, suspended frames on the stack.
     # For And rows ``acc`` is the running product of contributions, for
@@ -82,8 +83,6 @@ def _walk(origin, visited, tail, start, ands, seen, probs, memo, closed) -> floa
                     continue
         else:
             contrib = probs[v] * (acc if is_and else 1.0 - acc)
-            if closed[v]:
-                memo[v] = contrib
             if not stack:
                 return contrib
             v, ps, i, acc, is_and = stack.pop()
@@ -112,17 +111,21 @@ def solve_node_stats(graph: AttackGraph, v: int) -> tuple[float, int]:
     visited = bytearray(n)
     visited[origin] = 1
     ands = [k is AND for k in kinds]
-    value = _walk(
-        origin, visited, d.parents, [1.0] * n, ands, seen, probs, memo, bytearray(n)
-    )
+    value = _walk(origin, visited, d.parents, [1.0] * n, ands, seen, probs, memo)
     return value, visited.count(1)
 
 
 def solve_all(graph: AttackGraph) -> dict[int, float]:
     """Access probability for every node, bit-identical to :func:`solve_node`.
 
-    Every origin still runs its own rooted recursion, but two kinds of
-    work that do not depend on the origin are done once per call:
+    One pass over the condensation in topological order. A row is
+    *closed* when it is on no cycle and each interior parent has it as
+    its only child and is itself closed. Its cone is then a tree entered
+    only through it, where the rooted recursion multiplies exactly the
+    closed-form product, so it takes :func:`_closed_form` over its
+    parents' final values and stores the result in ``memo``. Every other
+    interior row runs :func:`_walk`, with the work that does not depend
+    on the origin done once per call:
 
     * Leaves are constants: a leaf contributes its local probability
       whether or not it was visited. Each row's leading run of leaf
@@ -131,15 +134,9 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
       starts with all leaves marked, so a visited row contributes
       ``seen[row]``: its probability for a leaf, 0 for an interior row
       (the origin included).
-    * Closed rows are memoised. A row is *closed* when it is on no cycle
-      and each interior parent has it as its only child and is itself
-      closed. Every interior ancestor of a closed row u then has all its
-      children in u's cone or equal to u, so a recursion can enter that
-      cone only through u and always computes ``solve_node(u)`` there,
-      with the same operations. Origins run in condensation order, a
-      closed row's value is stored when its frame pops, and afterwards an
-      unvisited closed row contributes that value without a push; no
-      later step can read the visited marks of the cone it skips.
+    * A closed row precedes every row whose recursion can reach it, so
+      an unvisited closed row contributes its ``memo`` without a push;
+      no later step can read the visited marks of the cone it skips.
     """
     d = graph.dense
     kinds, probs, parents = d.kinds, d.probs, d.parents
@@ -164,23 +161,20 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
             k += 1
         start[v], tail[v] = acc, ps[k:]
 
-    order: list[int] = []
-    closed = bytearray(n)
-    for members, cyclic in d.blocks:
-        order += members
-        v = members[0]
-        if not (cyclic or template[v]):
-            closed[v] = all(template[p] or (outdeg[p] == 1 and closed[p]) for p in parents[v])
-
     memo: list[float | None] = [None] * n
     values = seen[:]
-    for origin in order:
-        if not template[origin]:
-            visited = template[:]
-            visited[origin] = 1
-            values[origin] = _walk(
-                origin, visited, tail, start, ands, seen, probs, memo, closed
-            )
+    for members, cyclic in d.blocks:
+        v = members[0]
+        if not (cyclic or template[v]) and all(
+            template[p] or (outdeg[p] == 1 and memo[p] is not None) for p in parents[v]
+        ):
+            values[v] = memo[v] = _closed_form(d, v, values)
+            continue
+        for origin in members:
+            if not template[origin]:
+                visited = template[:]
+                visited[origin] = 1
+                values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, memo)
     return dict(zip(d.ids, values))
 
 
@@ -194,11 +188,8 @@ def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:
     if any(cyclic for _, cyclic in d.blocks):
         raise GraphCyclicError("closed-form evaluation requires an acyclic graph")
     values = d.probs[:]
-    LEAF, AND = NodeKind.LEAF, NodeKind.AND
     # an acyclic graph's components are single rows in topological order
     for (v,), _ in d.blocks:
-        if d.kinds[v] is AND:
-            values[v] *= conjunction(values[p] for p in d.parents[v])
-        elif d.kinds[v] is not LEAF:
-            values[v] *= disjunction(values[p] for p in d.parents[v])
+        if d.kinds[v] is not NodeKind.LEAF:
+            values[v] = _closed_form(d, v, values)
     return dict(zip(d.ids, values))

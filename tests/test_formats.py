@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cybag.errors import IoError, ParseError, SchemaError
@@ -65,6 +66,24 @@ def test_probabilities_survive_exactly(tmp_path):
     out = tmp_path / "third.json"
     write_json(g, out)
     assert read_json(out).local_prob(0) == 1 / 3
+
+
+def test_numpy_scalars_round_trip(tmp_path):
+    g = AttackGraph(
+        [
+            Node(np.int64(0), NodeKind.LEAF, "a", np.float64(0.5)),
+            Node(np.int32(1), NodeKind.OR, "b", np.float32(0.25)),
+        ],
+        [(0, 1)],
+    )
+    assert [(type(n.id), type(n.local_prob)) for n in g.nodes] == [(int, float)] * 2
+    out = tmp_path / "numpy.json"
+    write_json(g, out)
+    assert read_json(out) == g
+    with pytest.raises(ValueError, match="real number"):
+        Node(0, NodeKind.LEAF, "a", True)
+    with pytest.raises(ValueError, match="integer"):
+        Node(True, NodeKind.LEAF, "a", 0.5)
 
 
 def make_doc(**overrides):

@@ -148,6 +148,16 @@ def test_is_loop_free_self_edge():
     assert not is_loop_free(AttackGraph([Node(0, O)], [(0, 0)]))
 
 
+def test_is_loop_free_skips_dangling_edges():
+    assert is_loop_free(AttackGraph([Node(0, L, "a", 0.5), Node(1, O)], [(0, 1), (0, 7)]))
+    nodes = [Node(0, L), Node(1, O), Node(2, O), Node(3, A)]
+    assert not is_loop_free(AttackGraph(nodes, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 9)]))
+
+
+def test_is_loop_free_counts_repeated_edge_once():
+    assert is_loop_free(AttackGraph([Node(0, L, "a", 0.5), Node(1, O)], [(0, 1), (0, 1)]))
+
+
 def test_loop_free_implies_acyclic(forest_builder):
     for seed in range(20):
         g = forest_builder(seed, 3 + seed)

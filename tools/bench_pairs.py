@@ -9,8 +9,10 @@ pairs the change wins (metric directions come from BENCHMARK.json). With
 instead. Each set of pairs is stored under its workload name, or under
 the NAME of a ``--runs WORKLOAD:FIRST-LAST:NAME`` spec, so one workload
 can hold several sets. Sets already in OUT are kept, so they can be run
-one at a time. A set needs at least two seeds, for its quartiles, and every
-spec is checked before the first run. A run that prints no result line
+one at a time. A set needs at least two seeds, for its quartiles. Every
+argument is checked before the first run: each spec's form, its workload
+and the claim's workload and metric against BENCHMARK.json, and that both
+checkouts hold ``perfbench/run.py``. A run that prints no result line
 stops the tool with that run's exit code and the tail of its stderr; the
 sets finished before it are already in OUT.
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -81,17 +84,30 @@ def main() -> int:
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
     args = parser.parse_args()
-    sets = []
-    for spec in args.runs:
-        workload, seeds, *name = spec.split(":")
-        first, last = (int(s) for s in seeds.split("-"))
-        if last <= first:
-            parser.error(f"--runs {spec}: a set needs at least two seeds for its quartiles")
-        sets.append((workload, list(range(first, last + 1)), name[0] if name else workload))
-
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
     lower = {m["name"]: m["better"] == "lower"
              for m in bench["per_layer" if args.trace else "end_to_end"]}
+    for checkout in (args.parent, args.change_dir):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            parser.error(f"{checkout} is not a checkout: it has no perfbench/run.py")
+    sets = []
+    for spec in args.runs:
+        match = re.fullmatch(r"([^:]+):(\d+)-(\d+)(?::([^:]+))?", spec)
+        if not match:
+            parser.error(f"--runs {spec}: expected WORKLOAD:FIRST-LAST[:NAME]")
+        workload, first, last, name = match.groups()
+        if workload not in known:
+            parser.error(f"--runs {spec}: unknown workload; BENCHMARK.json has {known}")
+        if int(last) <= int(first):
+            parser.error(f"--runs {spec}: a set needs at least two seeds for its quartiles")
+        sets.append((workload, list(range(int(first), int(last) + 1)), name or workload))
+    claim_workload, _, claim_metric = args.claim.partition(":")
+    end_to_end = [m["name"] for m in bench["end_to_end"]]
+    if args.claim and (claim_workload not in known or claim_metric not in end_to_end):
+        parser.error(f"--claim {args.claim}: expected WORKLOAD:METRIC, a workload of "
+                     f"BENCHMARK.json and one of its end-to-end metrics {end_to_end}")
+
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "change": args.change or doc.get("change", ""),
@@ -104,8 +120,7 @@ def main() -> int:
                   "scaled) in sets with trace 1",
     })
     if args.claim:
-        workload, metric = args.claim.split(":")
-        doc["claim"] = {"workload": workload, "metric": metric}
+        doc["claim"] = {"workload": claim_workload, "metric": claim_metric}
     workloads = doc.setdefault("workloads", {})
     for workload, seeds, name in sets:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
