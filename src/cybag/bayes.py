@@ -9,7 +9,7 @@ parents are true, an Or node is true with probability p when at least
 one parent is true. Cyclic graphs are not Bayesian networks and raise
 :class:`GraphCyclicError`.
 
-:func:`eliminate` computes exact marginals by sum-product variable
+:func:`eliminate` computes exact marginals by sum-product bucket
 elimination over dense numpy factors, and :func:`brute_force_marginal`
 re-derives the same number by enumerating the full joint, so the two can
 cross-check each other. Both are oracles for small graphs only; variable
@@ -134,51 +134,50 @@ def elimination_order(graph: AttackGraph, query: int) -> list[int]:
 
 
 def eliminate(graph: AttackGraph, query: int) -> float:
-    """Exact marginal P(query = 1) by sum-product variable elimination in
-    :func:`elimination_order`.
+    """Exact marginal P(query = 1) by bucket elimination (Dechter 1999)
+    over the min-degree :func:`elimination_order`.
 
-    A product over more than ``WIDTH_LIMIT + 1`` variables is refused with
-    :class:`WidthLimitError` before it is built.
+    A factor waits in the bucket of its first variable in the order, or
+    for the final product when its scope holds only the query. Each
+    variable's bucket is multiplied left to right, the variable summed out
+    and the result placed the same way. A product over more than
+    ``WIDTH_LIMIT + 1`` variables is refused with :class:`WidthLimitError`
+    before it is built.
     """
     _require_acyclic(graph)
     order = elimination_order(graph, query)
+    rank = {v: i for i, v in enumerate(order)}
+    buckets: list[list[Factor]] = [[] for _ in order]
+    rest: list[Factor] = []
 
-    # Factors are keyed by creation number, so each product multiplies its
-    # factors oldest first; holding[u] holds the keys of the factors over u.
-    factors = dict(enumerate(node_factor(graph, v) for v in graph.node_ids))
-    holding: dict[int, set[int]] = {v: set() for v in graph.node_ids}
-    for key, f in factors.items():
-        for u in f.scope:
-            holding[u].add(key)
-    created = len(factors)
-    for var in order:
-        keys = sorted(holding.pop(var))
-        involved = [factors.pop(key) for key in keys]
-        width = len(set().union(*(f.scope for f in involved)))
+    # When var's turn comes, every live factor over var has var as its
+    # first remaining variable; placing factors as they are created keeps
+    # each bucket oldest first, so every product runs in creation order.
+    def place(f: Factor) -> None:
+        ranks = [rank[u] for u in f.scope if u != query]
+        (buckets[min(ranks)] if ranks else rest).append(f)
+
+    for v in graph.node_ids:
+        place(node_factor(graph, v))
+    for var, bucket in zip(order, buckets):
+        width = len(set().union(*(f.scope for f in bucket)))
         if width > WIDTH_LIMIT + 1:
             raise WidthLimitError(
                 f"eliminating node {var} needs a {width}-variable table; "
                 f"tables over more than {WIDTH_LIMIT + 1} variables are not materialized"
             )
-        product = involved[0]
-        for f in involved[1:]:
-            product = product.multiply(f)
-        for key, f in zip(keys, involved):
-            for u in f.scope:
-                if u != var:
-                    holding[u].discard(key)
-        factors[created] = product.sum_out(var)
-        for u in factors[created].scope:
-            holding[u].add(created)
-        created += 1
+        place(_product(bucket).sum_out(var))
+        bucket.clear()  # each table is freed once it is used
 
-    remaining = iter(factors.values())
-    result = next(remaining)
-    for f in remaining:
+    table = _product(rest).table.reshape(2)
+    return float(table[1]) / float(table[0] + table[1])
+
+
+def _product(factors: list[Factor]) -> Factor:
+    result = factors[0]
+    for f in factors[1:]:
         result = result.multiply(f)
-    table = result.table.reshape(2)
-    total = float(table[0] + table[1])
-    return float(table[1]) / total
+    return result
 
 
 def brute_force_marginal(graph: AttackGraph, query: int) -> float:

@@ -119,7 +119,6 @@ class _Builder:
         self.edges: set[tuple[int, int]] = set()
         self.up: dict[int, set[int]] = {}
         self.down: dict[int, set[int]] = {}
-        self.covered: set[int] = set()
 
     def link(self, p: int, t: int) -> None:
         """Add the arc p => t: Or p feeds an And whose Or child is t."""
@@ -139,18 +138,6 @@ class _Builder:
                     seen.add(w)
                     frontier.append(w)
         return seen
-
-    def cover(self, start: int, arcs: dict[int, set[int]], within: set[int]) -> None:
-        """Add to ``covered`` the Or nodes on the cycles a new bridge closed.
-
-        Besides x -> a and a -> y, a bridge And a has only an in-edge from a
-        parentless leaf, so every new cycle runs x -> a -> y ~> x and the
-        nodes newly on a cycle are desc(y) & anc(x). ``within`` is the side
-        the caller has walked, anc(x) or desc(y), and ``start`` the other
-        end, y walking ``down`` or x walking ``up``. Nodes on a cycle stay
-        on one.
-        """
-        self.covered |= self.reach(start, arcs, within)
 
 
 def generate(params: GenParams) -> AttackGraph:
@@ -233,31 +220,35 @@ def generate(params: GenParams) -> AttackGraph:
         b.edges.add((a, dst_or))
         b.link(src_or, dst_or)
 
-    # The base wiring is acyclic by rank, so b.covered starts empty.
-    covered = b.covered
-    if target_or > 0:
-        while len(covered) < target_or:
-            uncovered = [v for v in ors if v not in covered]
-            x = rng.choice(uncovered)
-            anc = b.reach(x, b.up)
-            ancestors = sorted(anc - {x})
-            if ancestors:
-                y = rng.choice([v for v in ancestors if v not in covered] or ancestors)
-                add_bridge(x, y)
-                b.cover(y, b.down, anc)
-                continue
-            desc = b.reach(x, b.down)
-            descendants = sorted(desc - {x})
-            if descendants:
-                z = rng.choice([v for v in descendants if v not in covered] or descendants)
-                add_bridge(z, x)
-                b.cover(z, b.up, desc)
-                continue
-            partners = [w for w in uncovered if w != x] or [w for w in ors if w != x]
-            w = rng.choice(partners)
-            add_bridge(x, w)
-            add_bridge(w, x)
-            b.cover(w, b.up, {x, w})
+    # The base wiring is acyclic by rank, so no Or node starts on a cycle.
+    # Besides x -> a and a -> y, a bridge And a has only an in-edge from a
+    # parentless leaf, so every new cycle runs x -> a -> y ~> x and the
+    # nodes a bridge puts on a cycle are desc(y) & anc(x): each covering
+    # walk starts at the end the loop has not walked and stays inside the
+    # side it has. Nodes on a cycle stay on one.
+    covered: set[int] = set()
+    while len(covered) < target_or:
+        uncovered = [v for v in ors if v not in covered]
+        x = rng.choice(uncovered)
+        anc = b.reach(x, b.up)
+        ancestors = sorted(anc - {x})
+        if ancestors:
+            y = rng.choice([v for v in ancestors if v not in covered] or ancestors)
+            add_bridge(x, y)
+            covered |= b.reach(y, b.down, anc)
+            continue
+        desc = b.reach(x, b.down)
+        descendants = sorted(desc - {x})
+        if descendants:
+            z = rng.choice([v for v in descendants if v not in covered] or descendants)
+            add_bridge(z, x)
+            covered |= b.reach(z, b.up, desc)
+            continue
+        partners = [w for w in uncovered if w != x] or [w for w in ors if w != x]
+        w = rng.choice(partners)
+        add_bridge(x, w)
+        add_bridge(w, x)
+        covered |= b.reach(w, b.up, {x, w})
 
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.

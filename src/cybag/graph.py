@@ -122,8 +122,8 @@ class DenseIndex:
     ``kinds`` holds :class:`NodeKind` members, compared with ``is``,
     ``probs`` local probabilities and ``parents`` the ascending, distinct
     parent rows of each row, built in one pass over the sorted edges
-    (skipping unknown ends) on first use, so that node lookups and
-    :func:`validate` never pay for them.
+    (skipping unknown ends) on first use, so that node lookups never pay
+    for them.
     """
 
     def __init__(self, graph: AttackGraph):
@@ -333,9 +333,9 @@ def validate(graph: AttackGraph) -> ValidationReport:
         if issue is not None:
             report.errors.append(issue)
 
-    incoming = {dst for _, dst in graph.edges}
+    parents = graph.dense.parents  # the rows every engine reads
     for node in graph.nodes:
-        if node.kind is not NodeKind.LEAF and node.id not in incoming:
+        if node.kind is not leaf and not parents[index[node.id]]:
             report.warnings.append(
                 Issue(
                     "EMPTY_PARENTS",

@@ -225,8 +225,15 @@ def test_width_limit_hits_eliminate_not_translation():
 
 def test_width_limit_bounds_every_product(wide_products):
     assert max(len(ps) for ps in wide_products.parents.values()) <= WIDTH_LIMIT
-    with pytest.raises(WidthLimitError, match="tables over more than 21 variables"):
-        eliminate(wide_products, 69)
+    generated = generate(GenParams(n=1000, cyclicity=0, seed=0))
+    # the refusal names the first variable in the order whose product is too wide
+    for g, query, var, width in [(wide_products, 69, 23, 28), (generated, 999, 756, 23)]:
+        with pytest.raises(WidthLimitError) as refused:
+            eliminate(g, query)
+        assert str(refused.value) == (
+            f"eliminating node {var} needs a {width}-variable table; "
+            "tables over more than 21 variables are not materialized"
+        )
 
 
 def test_factor_rejects_unsorted_scope_and_mismatched_shape():

@@ -149,14 +149,19 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
     Or-level arcs match the Or -> And -> Or paths of the edges."""
     n_leaf, n_and, _ = generator._counts(params.n, params.ratio)
     ors = set(range(n_leaf + n_and, params.n))
-    cover = generator._Builder.cover
+    reach = generator._Builder.reach
+    covered = set()
     bridges = 0
 
-    def checked(self, *args):
+    def checked(self, start, arcs, within=None):
         nonlocal bridges
-        cover(self, *args)
+        found = reach(self, start, arcs, within)
+        if within is None:  # picking a bridge: all earlier ones are covered
+            assert covered == scc_coverage(self.edges) & ors
+            return found
+        covered.update(found)
         bridges += 1
-        assert self.covered == scc_coverage(self.edges) & ors
+        assert covered == scc_coverage(self.edges) & ors
         out = {}
         for s, t in self.edges:
             out.setdefault(s, set()).add(t)
@@ -167,8 +172,9 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
                     down.setdefault(p, set()).add(t)
                     up.setdefault(t, set()).add(p)
         assert self.down == down and self.up == up
+        return found
 
-    with mock.patch.object(generator._Builder, "cover", checked):
+    with mock.patch.object(generator._Builder, "reach", checked):
         try:
             g = generate(params)
         except InfeasibleError:

@@ -63,6 +63,10 @@ def test_validate_empty_parents_is_warning_only():
     report = validate(g)
     assert report.ok
     assert report.warning_codes() == ["EMPTY_PARENTS", "EMPTY_PARENTS"]
+    # an edge from an unknown node gives no parent row: node 1 is still empty
+    dangling = validate(AttackGraph([Node(0, L, "a", 0.5), Node(1, O)], [(7, 1)]))
+    assert dangling.error_codes() == ["DANGLING_EDGE"]
+    assert [(i.code, i.subject) for i in dangling.warnings] == [("EMPTY_PARENTS", 1)]
 
 
 def test_find_cycles_acyclic(fig5):
