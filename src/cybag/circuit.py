@@ -11,50 +11,52 @@ the primed inputs settles into a unique least fixed point after at most
 one step per node, cycles included. These two functions are the
 reference semantics.
 
-The engine evaluates many instantiations at once, one per column of a
-(nodes x instantiations) cell matrix, in a single pass over the strongly
-connected components of the graph in topological order of their
-condensation. A node on no cycle is evaluated once from its finished
-parents; the members of a cyclic component are swept until a sweep
-changes nothing. The cell dtype selects one of two modes:
+The engine evaluates many instantiations at once. A chunk of m
+instantiations holds one Python int per node whose bit c belongs to
+instantiation c, so a gate is a few bitwise operations over all m of them
+(bit-parallel simulation). Two runs share that gate:
 
-* Reachability (bool cells) gives the least fixed point itself, iterated
-  upwards from all-off.
-* Ticks (the narrowest signed integer that holds n + 1) gives the tick
-  at which each node first turns on in the synchronous trajectory, with
-  n + 1 for never. An And or Leaf node fires one tick after its last
-  parent, an Or node one tick after its first, either only if its primed
-  input is on; an Or without parents never fires. This AND/OR
-  shortest-path system (Knuth 1977) is iterated downwards from never,
-  which reaches its greatest solution: the first-hit ticks.
+* The least fixed point takes a single pass over the strongly connected
+  components of the graph in topological order of their condensation. A
+  node on no cycle is evaluated once from its finished parents; the
+  members of a cyclic component are swept until a sweep changes nothing.
+* The trajectory is :func:`step` itself, run from all-off over every
+  column at once. A tick re-evaluates only the children of the nodes that
+  changed in the tick before, and the run stops when nothing changes; a
+  bit that turns on at tick t is its node's first hit in that column.
 
 The probability that a node is ever reached is then a reachability
 probability over instantiations of the primed inputs. It is computed
 exactly by weighted enumeration of the inputs with fractional
 probabilities (:func:`reachability_exact`) or estimated by sampling
 (:func:`reachability_mc`). Both run one chunk loop, which fills each
-chunk's cells from one input encoder and evaluates them; a chunk's cell
-matrix fits :data:`CHUNK_BUDGET_BYTES`. On acyclic graphs the exact
-value agrees with variable elimination; on cyclic graphs it is the
-reference semantics.
+chunk's inputs from one input encoder and evaluates them. A chunk is as
+wide as a matrix of one byte per node and instantiation that fits
+:data:`CHUNK_BUDGET_BYTES`; its packed bits take an eighth of that. Only
+sampling imports numpy, for its draws. On acyclic graphs the exact value
+agrees with variable elimination; on cyclic graphs it is the reference
+semantics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
-
-import numpy as np
+from itertools import chain, compress, repeat
+from operator import mul
+from typing import Iterable, Iterator, Mapping
 
 from .errors import TooLargeError
 from .graph import AttackGraph, DenseIndex, NodeKind
 
 EXACT_ENUM_LIMIT = 24
 MC_SAMPLE_LIMIT = 1 << 32
-# Bytes one chunk's cell matrix may take. Graphs of up to 64 nodes get
-# 2^20 bool columns per chunk, as many as the engine used to take.
+# Bytes one chunk's cell matrix may take, at a byte per cell. Graphs of
+# up to 64 nodes get 2^20 columns per chunk.
 CHUNK_BUDGET_BYTES = 64 << 20
+# one tick of a packed trajectory: the state, and (row, bits turned on)
+Tick = tuple[list[int], list[tuple[int, int]]]
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
 
 
 @dataclass(frozen=True)
@@ -146,150 +148,147 @@ def chunk_columns(n: int, cell_bytes: int, total: int) -> int:
     return min(total, 1 << (fit.bit_length() - 1))
 
 
-def _tick_dtype(n: int) -> np.dtype:
-    """Narrowest signed integer dtype that holds the never-tick n + 1."""
-    return next(
-        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max > n
-    )
-
-
 def _fractional_probs(d: DenseIndex) -> list[float]:
     return [p for p in d.probs if 0.0 < p < 1.0]
 
 
-def _evaluate(d: DenseIndex, cells: np.ndarray) -> np.ndarray:
-    """Run the condensation-order pass over ``cells`` in place and return it.
+def _gate_bits(d: DenseIndex, cells: list[int], i: int, prime: int) -> int:
+    """Row ``i``'s gate over packed columns; an Or without parents is off."""
+    ps = d.parents[i]
+    if d.kinds[i] is NodeKind.OR:
+        fed = 0
+        for p in ps:
+            fed |= cells[p]
+        return prime & fed
+    for p in ps:
+        prime &= cells[p]
+    return prime
 
-    On entry each row holds its node's primed input: True/False in
-    reachability mode, 0/n + 1 in tick mode. On exit each row holds the
-    node's final value or first-hit tick (see the module docstring).
-    """
-    n, m = cells.shape
-    ticks = cells.dtype != bool
-    off = n + 1 if ticks else False
-    if ticks:
-        conj, disj = np.maximum, np.minimum
-    else:
-        conj, disj = np.logical_and, np.logical_or
-    fed = np.empty(m, dtype=cells.dtype)
-    OR = NodeKind.OR
 
-    def gate(i: int, prime: np.ndarray, out: np.ndarray) -> None:
-        ps = d.parents[i]
-        if d.kinds[i] is OR:
-            if not ps:
-                out.fill(off)
-                return
-            np.copyto(fed, cells[ps[0]])
-            for p in ps[1:]:
-                disj(fed, cells[p], out=fed)
-            conj(prime, fed, out=out)
-        else:
-            if out is not prime:
-                np.copyto(out, prime)
-            for p in ps:
-                conj(out, cells[p], out=out)
-        if ticks:
-            # a node that fires does so by tick n, so the cap only keeps
-            # never at n + 1, inside the dtype
-            np.minimum(out, n, out=out)
-            out += 1
-
-    new = np.empty(m, dtype=cells.dtype)
+def _evaluate(d: DenseIndex, cells: list[int]) -> list[int]:
+    """Replace each row's primed input in ``cells`` by its least-fixed-point
+    bits, in one pass over ``d.blocks``, and return ``cells``."""
     for members, cyclic in d.blocks:
         if not cyclic:
-            gate(members[0], cells[members[0]], cells[members[0]])
+            cells[members[0]] = _gate_bits(d, cells, members[0], cells[members[0]])
             continue
-        primes = cells[list(members)]
-        cells[list(members)] = off
+        primes = [cells[i] for i in members]
+        for i in members:
+            cells[i] = 0
         changed = True
         while changed:
             changed = False
             for prime, i in zip(primes, members):
-                gate(i, prime, new)
-                if not np.array_equal(new, cells[i]):
+                new = _gate_bits(d, cells, i, prime)
+                if new != cells[i]:
                     cells[i] = new
                     changed = True
     return cells
 
 
-def _primes(d: DenseIndex, fill, cells: np.ndarray) -> None:
-    """Write every primed input into its row of ``cells``: False or True for
-    probability 0 or 1; ``fill(j, p, row)`` writes the j-th fractional
-    input, in row order, into its row in place."""
-    j = 0
-    for i, p in enumerate(d.probs):
+def _trajectory(d: DenseIndex, primes: list[int]) -> Iterator[Tick]:
+    """The :func:`step` trajectory from all-off over packed columns: per
+    tick, the state after it and (row, bits that turned on) for each row
+    that changed. The state only grows, and the run stops when it repeats."""
+    children: list[list[int]] = [[] for _ in primes]
+    for i, ps in enumerate(d.parents):
+        for p in ps:
+            children[p].append(i)
+    cells = [0] * len(primes)
+    todo: Iterable[int] = range(len(primes))
+    while True:
+        new = [(i, _gate_bits(d, cells, i, primes[i])) for i in todo]
+        on = [(i, bits ^ cells[i]) for i, bits in new if bits != cells[i]]
+        if not on:
+            return
+        for i, bits in on:
+            cells[i] |= bits
+        yield cells, on
+        todo = {c for i, _ in on for c in children[i]}
+
+
+def _primes(d: DenseIndex, fill, m: int) -> list[int]:
+    """Every primed input packed over ``m`` columns: all off or all on for
+    probability 0 or 1; ``fill(j, p)`` gives the j-th fractional input, in
+    row order."""
+    cells, j = [], 0
+    for p in d.probs:
         if 0.0 < p < 1.0:
-            fill(j, p, cells[i])
+            cells.append(fill(j, p))
             j += 1
         else:
-            cells[i] = p >= 1.0
+            cells.append((1 << m) - 1 if p >= 1.0 else 0)
+    return cells
 
 
-def _chunks(d: DenseIndex, dtype, total: int, source) -> Iterator[tuple[int, np.ndarray]]:
-    """Evaluate ``total`` instantiations in ``dtype``'s mode, yielding (first
-    column, evaluated cells) per chunk; ``source(start, m)`` gives the
-    :func:`_primes` fill of the m columns from ``start``."""
-    n = len(d.ids)
-    width = chunk_columns(n, np.dtype(dtype).itemsize, total)
+def _chunks(d: DenseIndex, total: int, source) -> Iterator[tuple[int, int, list[int]]]:
+    """(first column, width, packed primed inputs) of each chunk of ``total``
+    instantiations; ``source(start, m)`` gives the :func:`_primes` fill of
+    the m columns from ``start``."""
+    width = chunk_columns(len(d.ids), 1, total)
     for start in range(0, total, width):
         m = min(width, total - start)
-        cells = np.empty((n, m), dtype=dtype)
-        _primes(d, source(start, m), cells)
-        if cells.dtype != bool:  # on 1 -> tick 0, off 0 -> never n + 1
-            np.subtract(1, cells, out=cells)
-            cells *= n + 1
-        yield start, _evaluate(d, cells)
+        yield start, m, _primes(d, source(start, m), m)
 
 
 def _index_bits(start: int, m: int):
-    """Bits of enumeration indices ``start`` to ``start + m - 1``: bit j of
-    an index drives the j-th fractional input."""
-    idx = np.arange(start, start + m, dtype=np.int64)
+    """Bits of enumeration indices ``start`` to ``start + m - 1``, for ``m``
+    a power of two dividing ``start``: bit j of an index drives the j-th
+    fractional input. A bit below log2(m) repeats with period 2^(j+1),
+    built by shift-doubling; the others are constant over the chunk."""
 
-    def fill(j: int, p: float, row: np.ndarray) -> None:
-        row[:] = (idx >> j) & 1
+    def fill(j: int, p: float) -> int:
+        half = 1 << j
+        if half >= m:
+            return (1 << m) - 1 if start >> j & 1 else 0
+        word, period = ((1 << half) - 1) << half, 2 * half
+        while period < m:
+            word |= word << period
+            period *= 2
+        return word
 
     return fill
 
 
-def _enumerate(d: DenseIndex, dtype, limit: int, what: str) -> Iterator[tuple[int, np.ndarray]]:
+def _enumerate(d: DenseIndex, limit: int, what: str) -> Iterator[tuple[int, int, list[int]]]:
     """:func:`_chunks` over every instantiation of the fractional inputs, in
     enumeration order. Raises :class:`TooLargeError` past ``limit`` of them."""
     k = len(_fractional_probs(d))
     if k > limit:
         raise TooLargeError(f"{k} fractional inputs exceed the {limit}-bit {what} limit")
-    return _chunks(d, dtype, 1 << k, _index_bits)
+    return _chunks(d, 1 << k, _index_bits)
 
 
-def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> np.ndarray:
+def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> list[int | None]:
     """First-hit tick of every node under one instantiation, in ascending
-    id order; n + 1 (for n nodes) means never."""
+    id order; None means never."""
     _check_domain(graph, inst.bits, "instantiation")
     d = graph.dense
-    n = len(d.ids)
-    cells = np.array([[0 if inst.bits[v] else n + 1] for v in d.ids], dtype=_tick_dtype(n))
-    return _evaluate(d, cells)[:, 0]
+    hits: list[int | None] = [None] * len(d.ids)
+    primes = [1 if inst.bits[v] else 0 for v in d.ids]
+    for tick, (_, on) in enumerate(_trajectory(d, primes), 1):
+        for i, _ in on:
+            hits[i] = tick
+    return hits
 
 
-def enumerate_first_hits(
+def enumerate_trajectories(
     graph: AttackGraph, limit: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """First-hit ticks (nodes x instantiations, n + 1 for never) of every
-    instantiation of the fractional inputs, yielded per chunk with the
-    chunk's enumeration indices. Raises :class:`TooLargeError` past
-    ``limit`` fractional inputs."""
+) -> Iterator[tuple[int, Iterator[Tick]]]:
+    """The trajectory of every instantiation of the fractional inputs, per
+    chunk: the chunk's first enumeration index and its bit-parallel
+    :func:`step` run, which yields per tick the state (bit c is index
+    start + c) and the rows that turned on with their new bits. Raises
+    :class:`TooLargeError` past ``limit`` fractional inputs."""
     d = graph.dense
-    for start, hits in _enumerate(d, _tick_dtype(len(d.ids)), limit, "classification"):
-        yield np.arange(start, start + hits.shape[1], dtype=np.int64), hits
+    for start, _, primes in _enumerate(d, limit, "classification"):
+        yield start, _trajectory(d, primes)
 
 
 def instantiation_at(graph: AttackGraph, index: int) -> Instantiation:
     """The instantiation at ``index`` in enumeration order."""
     d = graph.dense
-    cells = np.empty((len(d.ids), 1), dtype=np.int8)
-    _primes(d, lambda j, p, row: row.fill((index >> j) & 1), cells)
-    return Instantiation({v: int(bit) for v, bit in zip(d.ids, cells[:, 0])})
+    return Instantiation(dict(zip(d.ids, _primes(d, lambda j, p: index >> j & 1, 1))))
 
 
 def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
@@ -302,13 +301,25 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     d = graph.dense
     row = d.row(v)
     fractional = _fractional_probs(d)
-    sums = []
-    for start, finals in _enumerate(d, bool, EXACT_ENUM_LIMIT, "enumeration"):
-        idx = np.arange(start, start + finals.shape[1], dtype=np.int64)
-        weights = np.ones(finals.shape[1])
-        for j, p in enumerate(fractional):
-            weights *= np.where((idx >> j) & 1, p, 1.0 - p)
-        sums.append(math.fsum(weights[finals[row]].tolist()))
+    sums, weights = [], [1.0]
+    for start, m, cells in _enumerate(d, EXACT_ENUM_LIMIT, "enumeration"):
+        # a column's weight is the product of its inputs' factors in input
+        # order. Every chunk is m wide: the products over the bits that vary
+        # in half a chunk are doubled out once, and the columns each half
+        # picks take that half's constant factors lazily.
+        half = max(1, m // 2)
+        while len(weights) < half:
+            p = fractional[len(weights).bit_length() - 1]
+            weights = [w * f for f in (1.0 - p, p) for w in weights]
+        on = bin(_evaluate(d, cells)[row])[:1:-1].encode().translate(_BIT_FLAGS)
+        parts = []
+        for s in range(0, m, half):
+            picked = compress(weights, on[s : s + half])  # byte c of ``on`` is bit c
+            for j in range(half.bit_length() - 1, len(fractional)):
+                p = fractional[j]
+                picked = map(mul, picked, repeat(p if (start + s) >> j & 1 else 1.0 - p))
+            parts.append(picked)
+        sums.append(math.fsum(chain(*parts)))
     return ReachEstimate(min(1.0, math.fsum(sums)), "exact", 1 << len(fractional), 0.0)
 
 
@@ -318,8 +329,11 @@ def reachability_mc(
     """Monte Carlo estimate of the reach probability with binomial error.
 
     Samples are drawn in budget-sized chunks, one draw per fractional input
-    in row order within a chunk; at most :data:`MC_SAMPLE_LIMIT` are taken.
+    in row order within a chunk, and packed into bits piece by piece; at
+    most :data:`MC_SAMPLE_LIMIT` are taken. Imports numpy for the draws.
     """
+    import numpy as np
+
     d = graph.dense
     row = d.row(v)
     if samples < 1:
@@ -332,13 +346,18 @@ def reachability_mc(
     # a draw of k samples holds 8k bytes beside the chunk: a sixteenth of the budget
     piece = max(1, CHUNK_BUDGET_BYTES // 128)
 
-    def draw(j: int, p: float, row: np.ndarray) -> None:
-        for a in range(0, len(row), piece):
-            out = row[a : a + piece]
-            np.less(rng.random(len(out)), p, out=out)
+    def draw(start: int, m: int):
+        def fill(j: int, p: float) -> int:
+            word = 0
+            for a in range(0, m, piece):
+                drawn = np.packbits(rng.random(min(piece, m - a)) < p, bitorder="little")
+                word |= int.from_bytes(drawn, "little") << a
+            return word
 
-    chunks = _chunks(d, bool, samples, lambda start, m: draw)
-    hits = sum(int(cells[row].sum()) for _, cells in chunks)
+        return fill
+
+    chunks = _chunks(d, samples, draw)
+    hits = sum(_evaluate(d, cells)[row].bit_count() for _, _, cells in chunks)
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

@@ -15,11 +15,14 @@ primed inputs, so one evaluation with every input of probability > 0
 switched on shows which nodes can ever turn on. The Type 2/3 split
 quantifies over all instantiations (sampling could not certify the
 universal case), so :func:`classify_cycles` enumerates them in order,
-once, in the circuit engine's tick mode, on graphs with at most
-``CLASSIFY_ENUM_LIMIT`` fractional inputs. It stops as soon as every
-cycle that is not Type 1 has a witness, and enumerates nothing when all
-are Type 1. :func:`classify_cycle` and :func:`classify_all` are thin
-wrappers over it.
+once, on graphs with at most ``CLASSIFY_ENUM_LIMIT`` fractional inputs.
+Each chunk of instantiations runs the synchronous trajectory
+bit-parallel, and each cycle node collects the bits that turn on while
+the target's bit is still off; those whose target does turn on are
+early. The enumeration stops as soon as every cycle that is not Type 1
+has a witness, and enumerates nothing when all are Type 1. A witness's
+tick comes from a run of its one instantiation. :func:`classify_cycle`
+and :func:`classify_all` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .circuit import Instantiation, enumerate_first_hits, first_hit_ticks, instantiation_at
+from .circuit import (
+    Instantiation,
+    enumerate_trajectories,
+    first_hit_ticks,
+    instantiation_at,
+)
 from .errors import TargetRequiredError
 from .graph import AttackGraph, CyclePath, find_cycles
 
@@ -63,11 +69,7 @@ class CycleReport:
 
 def first_hit(graph: AttackGraph, inst: Instantiation) -> list[FirstHit]:
     """First-hit time of every node under one instantiation."""
-    hits = first_hit_ticks(graph, inst)
-    never = len(graph.node_ids) + 1
-    return [
-        FirstHit(v, int(t) if t < never else None) for v, t in zip(graph.node_ids, hits)
-    ]
+    return [FirstHit(v, t) for v, t in zip(graph.node_ids, first_hit_ticks(graph, inst))]
 
 
 def classify_cycles(
@@ -88,29 +90,29 @@ def classify_cycles(
     target_row = None if target is None else d.row(target)
     if not cycles:
         return []
-    never = len(d.ids) + 1
     support = first_hit_ticks(
         graph, Instantiation({v: int(p > 0) for v, p in zip(d.ids, d.probs)})
     )
     members = [[(v, d.row(v)) for v in cycle.node_set] for cycle in cycles]
-    type1 = [any(support[i] == never for _, i in rows) for rows in members]
-    # row -> (enumeration index, target tick) of its first early column
-    entries: dict[int, tuple[int, int]] = {}
+    type1 = [any(support[i] is None for _, i in rows) for rows in members]
+    entries: dict[int, int] = {}  # row -> enumeration index of its first early column
     # Member rows of each cycle still undecided: not Type 1 and no member
     # with an entry yet. Later chunks hold only larger indices, so once a
     # member has an entry the cycle's witness is final.
     live = [] if target_row is None else [m for m, t1 in zip(members, type1) if not t1]
     if live:
-        for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
-            th = hits[target_row]
-            reached = th < never
-            early = np.empty(len(idx), dtype=bool)
-            for i in sorted({i for rows in live for _, i in rows}):
-                np.less(hits[i], th, out=early)
-                early &= reached
-                if early.any():
-                    m = int(np.argmax(early))
-                    entries[i] = (int(idx[m]), int(th[m]))
+        for start, trajectory in enumerate_trajectories(graph, CLASSIFY_ENUM_LIMIT):
+            early = dict.fromkeys((i for rows in live for _, i in rows), 0)
+            reached = 0
+            for cells, on in trajectory:
+                reached = cells[target_row]
+                for i, bits in on:
+                    if i in early:
+                        early[i] |= bits & ~reached
+            for i, bits in early.items():
+                bits &= reached
+                if bits:  # its lowest bit is the first early column
+                    entries[i] = start + (bits & -bits).bit_length() - 1
             live = [rows for rows in live if not any(i in entries for _, i in rows)]
             if not live:
                 break
@@ -127,8 +129,10 @@ def classify_cycles(
             cycle_type = CycleType.TYPE2
         else:
             cycle_type = CycleType.TYPE3
-            (index, tick), v = min(found)
-            witness = (instantiation_at(graph, index), v, tick - 1)
+            index, v = min(found)
+            inst = instantiation_at(graph, index)
+            tick = first_hit_ticks(graph, inst)[target_row]
+            witness = (inst, v, tick - 1)
         reports.append(CycleReport(cycle, cycle_type, target, witness))
     return reports
 
@@ -162,8 +166,7 @@ def closing_edge(graph: AttackGraph, cycle: CyclePath) -> tuple[int, int]:
     edge-removal schemes would cut.
     """
     hits = first_hit_ticks(graph, Instantiation({v: 1 for v in graph.node_ids}))
-    head = min(cycle.node_set, key=lambda v: (int(hits[graph.dense.row(v)]), v))
-    for src, dst in cycle.edge_list:
-        if dst == head:
-            return (src, dst)
-    raise AssertionError("cycle path has no edge into its entry node")
+    never = len(hits) + 1  # ticks start at 1, so ``or`` maps None to it
+    head = min(cycle.node_set, key=lambda v: (hits[graph.dense.row(v)] or never, v))
+    at = cycle.nodes.index(head, 1)  # a closed path enters each node once
+    return (cycle.nodes[at - 1], head)

@@ -13,7 +13,7 @@ import json
 import sys
 
 # Engines are imported inside the command that runs them, so that only
-# circuit, cycles, ve and compare pay for loading numpy.
+# circuit --mc, ve and compare pay for loading numpy.
 from . import formats
 from .errors import CybagError, GraphCyclicError, TooLargeError
 from .graph import DEFAULT_MAX_CYCLES, AttackGraph, convert_plain, find_cycles, validate

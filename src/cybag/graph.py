@@ -25,6 +25,10 @@ from typing import Container, Iterable, Mapping, Sequence
 from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
 DEFAULT_MAX_CYCLES = 10_000
+# Bytes the paths of the found cycles may hold, at 8 bytes (one tuple slot)
+# per node: the count cap alone lets 10,000 long cycles fill the memory.
+# The circuit engine's CHUNK_BUDGET_BYTES bounds its chunks the same way.
+CYCLE_BUDGET_BYTES = 64 << 20
 
 
 class NodeKind(Enum):
@@ -363,11 +367,14 @@ def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> lis
     smallest row of each cyclic component; that row is then dropped and
     the rest split again. The empty list is returned exactly when the
     graph is acyclic. Raises :class:`CycleLimitError` (carrying the partial
-    list) once more than ``max_cycles`` cycles have been seen; cycle counts
-    can be exponential in graph size, so the cap is a hard safety net.
+    list) once more than ``max_cycles`` cycles have been seen, or once the
+    found paths would hold more than :data:`CYCLE_BUDGET_BYTES`; cycle
+    counts can be exponential in graph size, so both caps are hard safety
+    nets.
     """
     d = graph.dense
     found: list[CyclePath] = []
+    held = 0  # node slots of the found paths
     work = [members for members, cyclic in d.blocks if cyclic]
     while work:
         members = work.pop()
@@ -381,6 +388,13 @@ def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> lis
                     if len(found) >= max_cycles:
                         raise CycleLimitError(
                             f"more than {max_cycles} simple cycles; enumeration stopped",
+                            found,
+                        )
+                    held += len(path) + 1
+                    if 8 * held > CYCLE_BUDGET_BYTES:
+                        raise CycleLimitError(
+                            f"cycles beyond the first {len(found)} exceed the "
+                            f"{CYCLE_BUDGET_BYTES}-byte cycle budget; enumeration stopped",
                             found,
                         )
                     # the path runs against the edges: read backwards, it

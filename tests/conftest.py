@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from cybag import circuit
+from cybag.circuit import CircuitState, step
 from cybag.graph import AttackGraph, Node, NodeKind
 
 
@@ -79,6 +81,42 @@ def make_forest(seed: int, n: int) -> AttackGraph:
             kind = rng.choice((NodeKind.AND, NodeKind.OR))
         nodes.append(Node(v, kind, f"n{v}", round(rng.uniform(0.05, 0.95), 3)))
     return AttackGraph(nodes, edges)
+
+
+def reference_run(g, inst):
+    """Fixed-point values and first-hit ticks of the synchronous trajectory,
+    from :func:`step` alone: the oracle of the packed engine's two runs."""
+    state = CircuitState({v: 0 for v in g.node_ids}, 0)
+    hits = {v: None for v in g.node_ids}
+    while True:
+        nxt = step(g, state, inst)
+        if nxt.values == state.values:
+            return dict(state.values), hits
+        for v, on in nxt.values.items():
+            if on and hits[v] is None:
+                hits[v] = nxt.iteration
+        state = nxt
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """(chunk widths, trajectory runs): the width of every chunk the circuit's
+    chunk loop yields, and 1 for every bit-parallel trajectory run."""
+    chunks, runs = [], []
+    make_chunks, trajectory = circuit._chunks, circuit._trajectory
+
+    def counted_chunks(d, total, source):
+        for start, m, cells in make_chunks(d, total, source):
+            chunks.append(m)
+            yield start, m, cells
+
+    def counted_trajectory(d, primes):
+        runs.append(1)
+        return trajectory(d, primes)
+
+    monkeypatch.setattr(circuit, "_chunks", counted_chunks)
+    monkeypatch.setattr(circuit, "_trajectory", counted_trajectory)
+    return chunks, runs
 
 
 @pytest.fixture

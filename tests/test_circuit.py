@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attack_graphs
+from conftest import attack_graphs, reference_run
 
 from cybag import circuit
 from cybag.bayes import eliminate
@@ -12,8 +11,10 @@ from cybag.circuit import (
     CircuitState,
     Instantiation,
     _evaluate,
-    _tick_dtype,
+    _index_bits,
+    _trajectory,
     chunk_columns,
+    first_hit_ticks,
     fixed_point,
     reachability_exact,
     reachability_mc,
@@ -208,37 +209,28 @@ def test_exact_well_defined_on_cyclic_fixtures():
             assert 0.0 <= p <= 1.0
 
 
-def reference_run(g, inst):
-    """Fixed-point values and first-hit ticks of the synchronous trajectory."""
-    state = CircuitState({v: 0 for v in g.node_ids}, 0)
-    hits = {v: None for v in g.node_ids}
-    while True:
-        nxt = step(g, state, inst)
-        if nxt.values == state.values:
-            return dict(state.values), hits
-        for v, on in nxt.values.items():
-            if on and hits[v] is None:
-                hits[v] = nxt.iteration
-        state = nxt
-
-
 def assert_engine_matches_reference(g):
-    """Every instantiation of every primed input, all in one engine call per mode."""
+    """Every instantiation of every primed input, all in one engine run per
+    mode: bit c of row i's packed input is bit i of instantiation c."""
     c = g.dense
     n = len(c.ids)
-    cols = np.arange(1 << n)
-    primes = np.array([(cols >> j) & 1 for j in range(n)], dtype=bool)
-    values = _evaluate(c, primes.copy())
-    ticks = _evaluate(c, np.where(primes, 0, n + 1).astype(_tick_dtype(n)))
+    cols = range(1 << n)
+    primes = [sum(1 << k for k in cols if k >> i & 1) for i in range(n)]
+    values = _evaluate(c, list(primes))
+    ticks = [[None] * len(cols) for _ in range(n)]
+    for tick, (_, on) in enumerate(_trajectory(c, primes), 1):
+        for i, bits in on:
+            for k in cols:
+                if bits >> k & 1:
+                    assert ticks[i][k] is None, "a bit turned on twice"
+                    ticks[i][k] = tick
     for k in cols:
-        inst = Instantiation({v: int(primes[i, k]) for i, v in enumerate(c.ids)})
+        inst = Instantiation({v: primes[i] >> k & 1 for i, v in enumerate(c.ids)})
         ref_values, ref_hits = reference_run(g, inst)
         assert ref_values == dict(fixed_point(g, inst)[0].values)
-        assert {v: int(values[i, k]) for i, v in enumerate(c.ids)} == ref_values
-        got_hits = {
-            v: int(ticks[i, k]) if ticks[i, k] <= n else None for i, v in enumerate(c.ids)
-        }
-        assert got_hits == ref_hits, (g, inst)
+        assert {v: values[i] >> k & 1 for i, v in enumerate(c.ids)} == ref_values
+        assert {v: ticks[i][k] for i, v in enumerate(c.ids)} == ref_hits, (g, inst)
+        assert first_hit_ticks(g, inst) == [ref_hits[v] for v in c.ids]
 
 
 @given(attack_graphs(max_nodes=7), st.data())
@@ -272,11 +264,27 @@ def test_engine_edge_cases(nodes, edges):
     assert_engine_matches_reference(AttackGraph(nodes, edges))
 
 
-def test_tick_dtype_is_narrowest_holding_never():
-    assert _tick_dtype(36) == np.int8
-    assert _tick_dtype(126) == np.int8
-    assert _tick_dtype(127) == np.int16
-    assert _tick_dtype(40_000) == np.int32
+def test_first_hit_ticks_count_past_every_fixed_width():
+    # an Or chain of 300 nodes fires one node a tick, past the int8 range;
+    # an Or without parents never fires
+    chain = AttackGraph(
+        [Node(0, L, "", 0.5)] + [Node(v, O, "", 0.5) for v in range(1, 301)],
+        [(v, v + 1) for v in range(300)],
+    )
+    assert first_hit_ticks(chain, all_ones(chain)) == list(range(1, 302))
+    lone = AttackGraph([Node(0, O, "", 0.5)], [])
+    assert first_hit_ticks(lone, all_ones(lone)) == [None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 64, 1 << 12])
+def test_index_bits_pack_every_column_of_a_chunk(m):
+    # chunk starts are multiples of the width: bits below log2(m) repeat in
+    # the chunk, the others are constant over it
+    for start in (0, m, 5 * m):
+        fill = _index_bits(start, m)
+        for j in range(14):
+            expected = sum(1 << c for c in range(m) if (start + c) >> j & 1)
+            assert fill(j, 0.5) == expected, (start, j)
 
 
 def test_chunk_plan():
@@ -345,8 +353,7 @@ def test_reachability_mc_draws_within_the_chunk_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert split == whole
-    # the cells and the engine's two row buffers take 2^16 bytes each; an
-    # unsplit draw alone would hold 2^19
+    # the packed row takes 2^13 bytes; an unsplit draw alone would hold 2^19
     assert peak < 5 << 16
 
 
@@ -370,9 +377,11 @@ def test_reachability_mc_draws_straight_into_the_cells(monkeypatch):
     finally:
         tracemalloc.stop()
     assert split == whole and len(filled) == 1
-    # until the chunk is evaluated the draws have held the 2^16 bool cells
-    # and float pieces of a sixteenth of them, never a second row of bits
-    assert filled[0] < (1 << 16) + (1 << 14)
+    # each piece of 2^9 draws is packed as it is drawn: until the chunk is
+    # evaluated the draws have held the row's 2^13 packed bytes, the copy
+    # that takes the next piece, and one piece of floats, never a row of
+    # 2^16 bools
+    assert filled[0] < 1 << 15
 
 
 def test_reachability_mc_rejects_zero_samples():
@@ -382,6 +391,6 @@ def test_reachability_mc_rejects_zero_samples():
 
 
 def test_empty_graph_enumerates_one_empty_chunk():
-    # an empty cell matrix fits any budget
-    [(idx, hits)] = circuit.enumerate_first_hits(AttackGraph([], []), 20)
-    assert idx.tolist() == [0] and hits.shape == (0, 1)
+    # an empty cell matrix fits any budget; with no rows nothing ever turns on
+    [(start, trajectory)] = circuit.enumerate_trajectories(AttackGraph([], []), 20)
+    assert start == 0 and list(trajectory) == []

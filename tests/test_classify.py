@@ -1,17 +1,11 @@
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybag import circuit
-from cybag.circuit import (
-    Instantiation,
-    enumerate_first_hits,
-    instantiation_at,
-    reachability_exact,
-)
+from cybag.circuit import Instantiation, instantiation_at, reachability_exact
 from cybag.classify import (
     CLASSIFY_ENUM_LIMIT,
     CycleReport,
@@ -26,7 +20,7 @@ from cybag.errors import TargetRequiredError, TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.graph import AttackGraph, CyclePath, Node, NodeKind, find_cycles
 
-from conftest import attack_graphs
+from conftest import attack_graphs, reference_run
 
 
 def hits_by_node(g, inst):
@@ -204,39 +198,29 @@ def three_cycles():
     return AttackGraph(leaves + ors, edges)
 
 
-def count_engine_calls(monkeypatch):
-    calls = []
-    engine = circuit._evaluate
-
-    def counted(c, cells):
-        calls.append(cells.shape[1])
-        return engine(c, cells)
-
-    monkeypatch.setattr(circuit, "_evaluate", counted)
-    return calls
-
-
-def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch):
-    calls = count_engine_calls(monkeypatch)
+def test_classify_all_runs_the_engine_once_per_chunk(monkeypatch, engine_runs):
+    chunks, runs = engine_runs
     classify_all(load_fixture("running-example.json"), target=14)
-    assert len(calls) == 2
+    # the Type 1 column, one chunk and the witness
+    assert len(chunks) == 1 and len(runs) == 3
     g = three_cycles()
     assert len(find_cycles(g)) == 3
-    calls.clear()
+    chunks.clear(), runs.clear()
     classify_all(g, target=6)
-    # one column for Type 1, then the enumeration for the Type 2/3 split
-    assert calls == [1, 128]
-    # 7 nodes with int8 ticks, 16 columns a chunk: all three witnesses
+    # one column for Type 1, the enumeration for the Type 2/3 split in one
+    # chunk, and one witness run per Type 3 cycle
+    assert chunks == [128] and len(runs) == 1 + 1 + 3
+    # 7 nodes at a byte a cell, 16 columns a chunk: all three witnesses
     # have index 98, so the enumeration stops after chunk 7 of 8
     monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 7 * 16)
-    calls.clear()
+    chunks.clear(), runs.clear()
     reports = classify_all(g, target=6)
     assert [r.witness[0] for r in reports] == [instantiation_at(g, 98)] * 3
-    assert calls == [1] + [16] * 7
+    assert chunks == [16] * 7 and len(runs) == 1 + 7 + 3
     # without a target nothing is enumerated
-    calls.clear()
+    chunks.clear(), runs.clear()
     assert [r.cycle_type for r in classify_cycles(g, find_cycles(g))] == [None] * 3
-    assert calls == [1]
+    assert chunks == [] and len(runs) == 1
 
 
 def test_witnesses_and_reports_are_hashable():
@@ -265,45 +249,45 @@ def test_classify_cycles_without_target():
     assert r2.cycle_type is None and r2.witness is None
 
 
-def reference_classify_cycles(graph, cycles, target=None):
-    """Per-cycle classification over every instantiation: Type 1 from the
-    first-hit ticks of the whole enumeration, the Type 3 witness from the
-    first column where any cycle node beats the target."""
-    d = graph.dense
-    target_row = None if target is None else d.row(target)
-    if not cycles:
-        return []
-    cycle_ids = [sorted(cycle.node_set) for cycle in cycles]
-    cycle_rows = [[d.row(v) for v in ids] for ids in cycle_ids]
-    never = len(d.ids) + 1
-    ever_on = np.zeros(len(d.ids), dtype=bool)
-    witnesses = [None] * len(cycles)
-    for idx, hits in enumerate_first_hits(graph, CLASSIFY_ENUM_LIMIT):
-        ever_on |= hits.min(axis=1) < never
-        if target_row is None:
-            continue
-        th = hits[target_row]
-        for k, (ids, rows) in enumerate(zip(cycle_ids, cycle_rows)):
-            early = (th < never) & (hits[rows].min(axis=0) < th)
-            if witnesses[k] is None and early.any():
-                m = int(np.argmax(early))
-                k_target = int(th[m])
-                node_j = min(v for v, i in zip(ids, rows) if hits[i, m] < k_target)
-                witnesses[k] = (instantiation_at(graph, int(idx[m])), node_j, k_target - 1)
+def reference_hits(graph):
+    """First-hit tick of every node (None for never) under every
+    instantiation in enumeration order, from :func:`step` one instantiation
+    at a time: bit j of the index drives the j-th fractional input in id
+    order, and inputs of probability 0 or 1 stay pinned."""
+    fractional = [v for v in graph.node_ids if 0.0 < graph.local_prob(v) < 1.0]
+    assert len(fractional) <= CLASSIFY_ENUM_LIMIT
+    runs = []
+    for index in range(1 << len(fractional)):
+        bits = {v: int(graph.local_prob(v) >= 1.0) for v in graph.node_ids}
+        bits.update({v: index >> j & 1 for j, v in enumerate(fractional)})
+        inst = Instantiation(bits)
+        runs.append((inst, reference_run(graph, inst)[1]))
+    return runs
+
+
+def reference_classify_cycles(graph, cycles, target=None, runs=None):
+    """Per-cycle classification over every instantiation, read off
+    :func:`reference_hits`: Type 1 when a cycle node never fires, the Type 3
+    witness from the first instantiation where a cycle node fires strictly
+    before the target does."""
+    runs = reference_hits(graph) if runs is None else runs
     reports = []
-    for cycle, rows, witness in zip(cycles, cycle_rows, witnesses):
-        if not ever_on[rows].all():
+    for cycle in cycles:
+        nodes = sorted(cycle.node_set)
+        witness = None
+        if not all(any(hits[v] is not None for _, hits in runs) for v in nodes):
             cycle_type = CycleType.TYPE1
         elif target is None:
             cycle_type = None
         else:
+            for inst, hits in runs:
+                t = hits[target]
+                early = [v for v in nodes if t is not None and hits[v] is not None and hits[v] < t]
+                if early:
+                    witness = (inst, early[0], t - 1)
+                    break
             cycle_type = CycleType.TYPE2 if witness is None else CycleType.TYPE3
-        reports.append(
-            CycleReport(
-                cycle, cycle_type, target,
-                witness if cycle_type is CycleType.TYPE3 else None,
-            )
-        )
+        reports.append(CycleReport(cycle, cycle_type, target, witness))
     return reports
 
 
@@ -338,8 +322,9 @@ def cyclic_graphs(draw):
 @given(st.one_of(attack_graphs(max_nodes=9), cyclic_graphs()))
 def test_classify_cycles_matches_the_reference(g):
     cycles = find_cycles(g)
+    runs = reference_hits(g)
     for target in [None, *g.node_ids]:
-        expected = reference_classify_cycles(g, cycles, target)
+        expected = reference_classify_cycles(g, cycles, target, runs)
         assert classify_cycles(g, cycles, target) == expected
         # a few columns a chunk: the first early column of each row may
         # fall in any chunk

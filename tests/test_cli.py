@@ -297,6 +297,35 @@ def test_limit_exit_code(tmp_path, capsys):
     assert "CYCLE_LIMIT" in capsys.readouterr().err
 
 
+def test_long_cycles_trip_the_byte_budget_before_the_count_cap(tmp_path, capsys):
+    from cybag.graph import CYCLE_BUDGET_BYTES, DEFAULT_MAX_CYCLES
+
+    # a ring of 1,000 Or nodes fed by one leaf, and 14 Or nodes that each
+    # bypass one ring arc: 2^14 simple cycles of about 1,000 nodes, so the
+    # 64 MiB at 8 bytes a node fill up before the 10,000th cycle
+    ring = 1000
+    ors = range(1, ring + 15)
+    edges = [[0, 1]] + [[v, v + 1] for v in range(1, ring)] + [[ring, 1]]
+    for k in range(14):
+        arc = 1 + k * (ring // 14)
+        edges += [[arc, ring + 1 + k], [ring + 1 + k, arc + 1]]
+    doc = {
+        "version": "1",
+        "nodes": [{"id": 0, "kind": "leaf", "label": "", "p": "0.5"}]
+        + [{"id": v, "kind": "or", "label": "", "p": "1"} for v in ors],
+        "edges": edges,
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    assert run(["cycles", "--in", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"{CYCLE_BUDGET_BYTES}-byte cycle budget" in err and "CYCLE_LIMIT" in err
+    held = int(err.split("beyond the first ")[1].split()[0])
+    # each cycle holds between ring + 1 and ring + 15 node slots
+    assert 8 * held * (ring + 1) <= CYCLE_BUDGET_BYTES < 8 * (held + 1) * (ring + 15)
+    assert held < DEFAULT_MAX_CYCLES
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -318,14 +347,8 @@ def test_huge_sample_count_hits_the_limit_up_front(capsys):
     assert "TOO_LARGE" in capsys.readouterr().err
 
 
-def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
-    from cybag import circuit
-
-    calls = []
-    engine = circuit._evaluate
-    monkeypatch.setattr(
-        circuit, "_evaluate", lambda c, cells: calls.append(1) or engine(c, cells)
-    )
+def test_cycles_enumerates_once_per_graph(engine_runs, tmp_path, capsys):
+    chunks, runs = engine_runs
     doc = {
         "version": "1",
         "nodes": [{"id": v, "kind": "leaf", "label": "", "p": "0.5"} for v in range(3)]
@@ -338,8 +361,11 @@ def test_cycles_enumerates_once_per_graph(monkeypatch, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
     assert run(["cycles", "--in", str(path)]) == 0
     assert capsys.readouterr().out.count("needs-target") == 3
-    # one column for Type 1 per command, one chunk for the Type 2/3 split
-    assert len(calls) == 3
+    # one chunk of all 2^6 instantiations for the Type 2/3 split; trajectory
+    # runs: one column for Type 1 per command and the chunk, and one column
+    # per witness
+    assert chunks == [64]
+    assert len(runs) == 1 + 1 + 3 + 1
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from cybag.errors import CycleLimitError, PlainCycleError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
 from cybag.graph import (
+    DEFAULT_MAX_CYCLES,
     AttackGraph,
     CyclePath,
     Node,
@@ -114,6 +115,23 @@ def test_find_cycles_limit():
     with pytest.raises(CycleLimitError) as exc:
         find_cycles(g, max_cycles=10)
     assert len(exc.value.cycles) == 10
+
+
+def test_find_cycles_byte_budget_bounds_the_nodes_held(monkeypatch):
+    from cybag import graph
+
+    ids = list(range(4))
+    g = AttackGraph([Node(v, O) for v in ids], [(a, b) for a in ids for b in ids if a != b])
+    every = find_cycles(g)
+    budget = 8 * sum(len(c.nodes) for c in every)  # 8 bytes a node slot
+    monkeypatch.setattr(graph, "CYCLE_BUDGET_BYTES", budget)
+    assert find_cycles(g) == every
+    monkeypatch.setattr(graph, "CYCLE_BUDGET_BYTES", budget - 1)
+    with pytest.raises(CycleLimitError, match=f"the {budget - 1}-byte cycle budget") as exc:
+        find_cycles(g)
+    # the count cap is not what stopped it, and the partial list fits
+    assert len(exc.value.cycles) == len(every) - 1 < DEFAULT_MAX_CYCLES
+    assert 8 * sum(len(c.nodes) for c in exc.value.cycles) <= budget - 1
 
 
 def test_cycles_verified_edge_by_edge():

@@ -163,16 +163,24 @@ RUNNING = str(SRC / "fixtures" / "running-example.json")
     [
         ["solve", "--in", RUNNING],
         ["generate", "--n", "60", "--cyclicity", "40", "--out", "g.json"],
+        ["circuit", "--in", RUNNING, "--node", "9"],
+        ["cycles", "--in", RUNNING, "--target", "14"],
+        ["cycles", "--in", RUNNING],
     ],
-    ids=lambda argv: argv[0],
+    ids=["solve", "generate", "circuit", "cycles-target", "cycles"],
 )
 def test_pure_python_commands_leave_numpy_unloaded(argv, tmp_path):
     proc = run_python(CLI_PROBE, *argv, cwd=tmp_path)
     assert proc.stderr.splitlines()[-1] == "False 0"
 
 
-def test_circuit_loads_numpy_and_prints_its_golden_output():
+def test_exact_circuit_leaves_numpy_unloaded_and_prints_its_golden_output():
     proc = run_python(CLI_PROBE, "circuit", "--in", RUNNING, "--node", "9")
-    assert proc.stderr.splitlines()[-1] == "True 0"
+    assert proc.stderr.splitlines()[-1] == "False 0"
     golden = json.loads(GOLDEN_CLI.read_text())
     assert proc.stdout == golden["circuit --in running-example --node 9 --format tsv"]
+
+
+def test_sampled_circuit_loads_numpy():
+    proc = run_python(CLI_PROBE, "circuit", "--in", RUNNING, "--node", "9", "--mc", "100")
+    assert proc.stderr.splitlines()[-1] == "True 0"
