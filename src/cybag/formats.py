@@ -171,8 +171,22 @@ def read_json(path) -> AttackGraph:
 
 
 def write_json(graph: AttackGraph, path, notes: str | None = None) -> None:
-    payload = json.dumps(graph_to_document(graph, notes), indent=2, ensure_ascii=False)
-    write_text(path, payload + "\n")
+    """Write the bytes of ``json.dumps(graph_to_document(graph, notes),
+    indent=2, ensure_ascii=False)`` plus a newline, emitted directly: the
+    indenting encoder runs in pure Python."""
+    enc = json.encoder.encode_basestring
+    nodes = ",\n".join(
+        f'    {{\n      "id": {n.id},\n      "kind": {enc(n.kind.value)},\n'
+        f'      "label": {enc(n.label)},\n      "p": "{n.local_prob!r}"\n    }}'
+        for n in graph.nodes
+    )
+    edges = ",\n".join(f"    [\n      {src},\n      {dst}\n    ]" for src, dst in graph.edges)
+    head = f'{{\n  "version": {enc(FORMAT_VERSION)},\n'
+    if notes:
+        head += f'  "notes": {enc(notes)},\n'
+    nodes = f"[\n{nodes}\n  ]" if nodes else "[]"
+    edges = f"[\n{edges}\n  ]" if edges else "[]"
+    write_text(path, f'{head}  "nodes": {nodes},\n  "edges": {edges}\n}}\n')
 
 
 def plain_document_to_bag(doc) -> PlainBag:

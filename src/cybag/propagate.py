@@ -20,7 +20,9 @@ noisy-or, and both multiply by their own local probability afterwards.
 :func:`solve_all` makes one pass over the condensation in topological
 order: a row on no cycle whose cone is a tree takes the closed-form step
 :func:`_closed_form`, the product the recursion multiplies there, and
-every other interior row runs :func:`_walk`. So both agree bit for bit
+every other interior row runs :func:`_walk`, where a row of an earlier
+block whose cone the walk has not touched gives its stored value, which
+the recursion would recompute mark for mark. So both agree bit for bit
 with the rooted recursion written out plainly in the tests, the oracle.
 :func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
 
@@ -55,18 +57,23 @@ def _closed_form(d: DenseIndex, v: int, values: list[float]) -> float:
     return d.probs[v] * gate(values[p] for p in d.parents[v])
 
 
-def _walk(origin, visited, tail, start, ands, seen, probs, memo) -> float:
+def _walk(origin, visited, tail, start, ands, seen, probs, memo, cones=None) -> float:
     """Run the rooted recursion from row ``origin``; the one loop behind
     :func:`solve_node` and the rows of :func:`solve_all` that are not closed.
 
     A marked row contributes ``seen[row]``. An unmarked row is marked and
     contributes ``memo[row]`` unless that is None, in which case its frame
     starts from ``start[row]`` and walks the parent rows ``tail[row]``.
+    With ``cones`` only rows of the origin's block get frames; an unmarked
+    row outside it is an exit (see :func:`solve_all`).
     """
     # The current frame lives in locals, suspended frames on the stack.
     # For And rows ``acc`` is the running product of contributions, for
     # Or rows the running product of complements.
     v, ps, i, acc, is_and = origin, tail[origin], 0, start[origin], ands[origin]
+    if cones:
+        blk, blocks, up, srcmask, values = cones
+        b, vsrc = blk[origin], 0
     stack = []
     while True:
         if i < len(ps):
@@ -74,13 +81,30 @@ def _walk(origin, visited, tail, start, ands, seen, probs, memo) -> float:
             i += 1
             if visited[u]:
                 contrib = seen[u]
-            else:
+            elif memo[u] is not None:
                 visited[u] = 1
                 contrib = memo[u]
-                if contrib is None:
-                    stack.append((v, ps, i, acc, is_and))
-                    v, ps, i, acc, is_and = u, tail[u], 0, start[u], ands[u]
-                    continue
+                if cones:  # a shared closed row is a source unit
+                    vsrc |= srcmask[blk[u]]
+            elif cones and blk[u] != b:
+                m = srcmask[blk[u]]
+                if m & vsrc:
+                    visited[u] = 1
+                    contrib = _walk(u, visited, tail, start, ands, seen, probs, memo)
+                else:
+                    contrib = values[u]
+                    todo = [blk[u]]
+                    for c in todo:  # the cone's blocks, marked as they are found
+                        if not visited[blocks[c][0][0]]:
+                            for r in blocks[c][0]:
+                                visited[r] = 1
+                            todo += up[c]
+                vsrc |= m
+            else:
+                visited[u] = 1
+                stack.append((v, ps, i, acc, is_and))
+                v, ps, i, acc, is_and = u, tail[u], 0, start[u], ands[u]
+                continue
         else:
             contrib = probs[v] * (acc if is_and else 1.0 - acc)
             if not stack:
@@ -137,6 +161,19 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     * A closed row precedes every row whose recursion can reach it, so
       an unvisited closed row contributes its ``memo`` without a push;
       no later step can read the visited marks of the cone it skips.
+    * Only rows of the origin's block b get frames. A row u outside b
+      read from one, an *exit*, lies in an earlier block. A row is
+      *tracked* when a later read can see its mark: :func:`_walk` pushes
+      it, or it is closed with two or more children (unvisited it gives
+      its memo, visited 0). If no tracked row of u's cone is visited, the
+      recursion at u reads the marks u's own walk read, in order: u
+      contributes ``values[u]`` and its cone is marked through ``up``, the
+      blocks of each block's tracked parents outside it. Otherwise u runs
+      a nested :func:`_walk`. Visited tracked rows outside b form whole
+      cones, and two such sets meet exactly when they share a *source
+      unit*, a tracked block without ``up``. So the test is
+      ``srcmask[blk[u]] & vsrc``: a unit's mask is its own bit, another
+      block's ORs those of ``up``, and ``vsrc`` ORs the exits' masks.
     """
     d = graph.dense
     kinds, probs, parents = d.kinds, d.probs, d.parents
@@ -163,18 +200,30 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
 
     memo: list[float | None] = [None] * n
     values = seen[:]
-    for members, cyclic in d.blocks:
+    blk, up, srcmask, unit = [0] * n, [()] * len(d.blocks), [0] * len(d.blocks), 1
+    cones = (blk, d.blocks, up, srcmask, values)
+    for c, (members, cyclic) in enumerate(d.blocks):
         v = members[0]
-        if not (cyclic or template[v]) and all(
+        for r in members:
+            blk[r] = c
+        if template[v]:
+            continue
+        closed = not cyclic and all(
             template[p] or (outdeg[p] == 1 and memo[p] is not None) for p in parents[v]
-        ):
+        )
+        if not closed:  # tracked parents have a mask; this block's is still 0
+            up[c] = tuple({blk[p] for r in members for p in parents[r] if srcmask[blk[p]]})
+        for x in up[c]:
+            srcmask[c] |= srcmask[x]
+        if not up[c] and (outdeg[v] > 1 or not closed):
+            srcmask[c], unit = unit, unit << 1
+        if closed:
             values[v] = memo[v] = _closed_form(d, v, values)
             continue
         for origin in members:
-            if not template[origin]:
-                visited = template[:]
-                visited[origin] = 1
-                values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, memo)
+            visited = template[:]
+            visited[origin] = 1
+            values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, memo, cones)
     return dict(zip(d.ids, values))
 
 

@@ -8,6 +8,7 @@ import pytest
 from cybag.errors import IoError, ParseError, SchemaError
 from cybag.formats import (
     fixture_path,
+    graph_to_document,
     load_fixture,
     read_json,
     read_mulval_csv,
@@ -51,6 +52,33 @@ def test_round_trip_generated_graphs(tmp_path):
         out = tmp_path / f"g{seed}.json"
         write_json(g, out)
         assert read_json(out) == g
+
+
+@pytest.mark.parametrize(
+    "graph, notes",
+    [(load_fixture(name), None) for name in FIXTURES]
+    + [
+        (AttackGraph([], []), None),
+        (AttackGraph([], []), "only notes"),
+        (AttackGraph([Node(3, NodeKind.OR, "", 0.0)], []), ""),
+        (
+            AttackGraph(
+                [
+                    Node(0, NodeKind.LEAF, 'quote " back \\ slash / é ü 漢 \U0001f600', 1 / 3),
+                    Node(2, NodeKind.AND, "tab\tnl\ncr\rnul\x00bell\x07\x1f\x7f\u2028", 1.0),
+                    Node(5, NodeKind.OR, "\u00a0nbsp </script> \u200b", 1e-300),
+                ],
+                [(0, 2), (2, 5), (5, 2), (7, 0)],
+            ),
+            'notes with "quotes", \\, \u00e9 and\nnewlines',
+        ),
+    ],
+)
+def test_write_json_matches_the_indenting_encoder(tmp_path, graph, notes):
+    out = tmp_path / "g.json"
+    write_json(graph, out, notes)
+    expected = json.dumps(graph_to_document(graph, notes), indent=2, ensure_ascii=False)
+    assert out.read_bytes() == (expected + "\n").encode()
 
 
 def test_write_is_byte_stable(tmp_path):
