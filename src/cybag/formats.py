@@ -64,10 +64,16 @@ def load_json(path):
 
 
 def write_text(path, text: str) -> None:
-    """Write UTF-8 text with LF line endings."""
+    """Write UTF-8 text as it is, LF line endings included. Text that
+    UTF-8 cannot encode (a lone surrogate) is an ``IoError`` raised before
+    the file is opened, so no file is left behind."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise IoError(f"cannot write {path}: {exc.reason} in the text") from exc
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -141,6 +147,10 @@ def document_to_graph(doc) -> AttackGraph:
         label = item.get("label", "")
         if not isinstance(label, str):
             raise SchemaError("label must be a string", f"{where}.label")
+        try:  # JSON may spell a lone surrogate such as "\ud800", which no output holds
+            label.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError("label holds a lone surrogate", f"{where}.label") from None
         prob = _parse_prob(item.get("p", "1"), f"{where}.p")
         nodes.append(Node(nid, kind, label, prob))
 

@@ -18,15 +18,16 @@ noisy-or, and both multiply by their own local probability afterwards.
 
 :func:`solve_node` runs that recursion in the kernel :func:`_walk`.
 :func:`solve_all` makes one pass over the condensation in topological
-order: a row on no cycle whose cone is a tree takes the closed-form step
-:func:`_closed_form`, the product the recursion multiplies there, and
-every other interior row runs :func:`_walk`, where a row of an earlier
-block whose cone the walk has not touched gives its stored value, which
-the recursion would recompute mark for mark. So both agree bit for bit
+order: a *closed* row (on no cycle, with no tracked parent) takes the
+closed-form step :func:`_closed_form`, the product the recursion
+multiplies there, and every other interior row runs :func:`_walk` under
+one reuse rule: a row of an earlier block whose cone the walk has not
+touched gives its stored value, which the recursion would recompute mark
+for mark, and every other row gets a frame. So both agree bit for bit
 with the rooted recursion written out plainly in the tests, the oracle.
 :func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
 
-Recursion is realized with an explicit stack, so graphs with tens of
+Recursion is realized with one explicit stack, so graphs with tens of
 thousands of nodes cannot overflow the interpreter stack. Everything here
 is pure.
 """
@@ -57,15 +58,16 @@ def _closed_form(d: DenseIndex, v: int, values: list[float]) -> float:
     return d.probs[v] * gate(values[p] for p in d.parents[v])
 
 
-def _walk(origin, visited, tail, start, ands, seen, probs, memo, cones=None) -> float:
+def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
     """Run the rooted recursion from row ``origin``; the one loop behind
     :func:`solve_node` and the rows of :func:`solve_all` that are not closed.
 
-    A marked row contributes ``seen[row]``. An unmarked row is marked and
-    contributes ``memo[row]`` unless that is None, in which case its frame
-    starts from ``start[row]`` and walks the parent rows ``tail[row]``.
-    With ``cones`` only rows of the origin's block get frames; an unmarked
-    row outside it is an exit (see :func:`solve_all`).
+    A marked row contributes ``seen[row]``. With ``cones``, an unmarked row
+    outside the origin's block whose cone meets no exit read so far is an
+    *exit*: it contributes its stored value, and its tracked cone is
+    marked (see :func:`solve_all`). Every other unmarked row is marked and
+    gets a frame that starts from ``start[row]`` and walks the parent rows
+    ``tail[row]``.
     """
     # The current frame lives in locals, suspended frames on the stack.
     # For And rows ``acc`` is the running product of contributions, for
@@ -81,25 +83,16 @@ def _walk(origin, visited, tail, start, ands, seen, probs, memo, cones=None) -> 
             i += 1
             if visited[u]:
                 contrib = seen[u]
-            elif memo[u] is not None:
-                visited[u] = 1
-                contrib = memo[u]
-                if cones:  # a shared closed row is a source unit
-                    vsrc |= srcmask[blk[u]]
-            elif cones and blk[u] != b:
-                m = srcmask[blk[u]]
-                if m & vsrc:
-                    visited[u] = 1
-                    contrib = _walk(u, visited, tail, start, ands, seen, probs, memo)
-                else:
-                    contrib = values[u]
+            elif cones and blk[u] != b and not (m := srcmask[blk[u]]) & vsrc:
+                contrib = values[u]
+                if m:
                     todo = [blk[u]]
                     for c in todo:  # the cone's blocks, marked as they are found
                         if not visited[blocks[c][0][0]]:
                             for r in blocks[c][0]:
                                 visited[r] = 1
                             todo += up[c]
-                vsrc |= m
+                    vsrc |= m
             else:
                 visited[u] = 1
                 stack.append((v, ps, i, acc, is_and))
@@ -124,56 +117,63 @@ def solve_node_stats(graph: AttackGraph, v: int) -> tuple[float, int]:
     d = graph.dense
     origin = d.row(v)
     kinds, probs = d.kinds, d.probs
-    LEAF, AND = NodeKind.LEAF, NodeKind.AND
+    LEAF = NodeKind.LEAF
     if kinds[origin] is LEAF:
         return probs[origin], 1
     n = len(kinds)
     # Nothing is folded and nothing starts marked, so every row the walk
-    # reaches is marked; an unmarked leaf contributes through ``memo``.
-    memo = [p if k is LEAF else None for p, k in zip(probs, kinds)]
-    seen = [0.0 if p is None else p for p in memo]
+    # reaches is marked. A leaf gets a parentless And frame: p * 1.0 == p.
+    seen = [p if k is LEAF else 0.0 for p, k in zip(probs, kinds)]
     visited = bytearray(n)
     visited[origin] = 1
-    ands = [k is AND for k in kinds]
-    value = _walk(origin, visited, d.parents, [1.0] * n, ands, seen, probs, memo)
+    ands = [k is not NodeKind.OR for k in kinds]
+    value = _walk(origin, visited, d.parents, [1.0] * n, ands, seen, probs)
     return value, visited.count(1)
 
 
 def solve_all(graph: AttackGraph) -> dict[int, float]:
     """Access probability for every node, bit-identical to :func:`solve_node`.
 
-    One pass over the condensation in topological order. A row is
-    *closed* when it is on no cycle and each interior parent has it as
-    its only child and is itself closed. Its cone is then a tree entered
+    One pass over the condensation in topological order, with the work
+    that does not depend on the origin done once per call. Leaves are
+    constants: a leaf contributes its local probability whether or not it
+    was visited. Each row's leading run of leaf parents is folded into its
+    starting accumulator (``1.0*c1*c2...`` is the float the loop would
+    build), and every origin's visited set starts with all leaves marked,
+    so a visited row contributes ``seen[row]``: its probability for a
+    leaf, 0 for an interior row (the origin included).
+
+    ``up[c]`` holds the blocks of the tracked parents outside block c. A
+    row is *closed* when its block is acyclic and ``up`` is empty. Its
+    cone is then a tree of leaves and closed rows with one child, entered
     only through it, where the rooted recursion multiplies exactly the
     closed-form product, so it takes :func:`_closed_form` over its
-    parents' final values and stores the result in ``memo``. Every other
-    interior row runs :func:`_walk`, with the work that does not depend
-    on the origin done once per call:
+    parents' final values. A block with empty ``up`` that is cyclic, or
+    whose row has two or more children, is a *source unit* and owns one
+    bit of ``srcmask``; every other block ORs the masks of ``up``. So an
+    interior row is *tracked* (has a non-zero mask) unless it is closed
+    with at most one child: only that child ever reads it, so no read can
+    see its mark.
 
-    * Leaves are constants: a leaf contributes its local probability
-      whether or not it was visited. Each row's leading run of leaf
-      parents is folded into its starting accumulator (``1.0*c1*c2...``
-      is the float the loop would build), and every origin's visited set
-      starts with all leaves marked, so a visited row contributes
-      ``seen[row]``: its probability for a leaf, 0 for an interior row
-      (the origin included).
-    * A closed row precedes every row whose recursion can reach it, so
-      an unvisited closed row contributes its ``memo`` without a push;
-      no later step can read the visited marks of the cone it skips.
-    * Only rows of the origin's block b get frames. A row u outside b
-      read from one, an *exit*, lies in an earlier block. A row is
-      *tracked* when a later read can see its mark: :func:`_walk` pushes
-      it, or it is closed with two or more children (unvisited it gives
-      its memo, visited 0). If no tracked row of u's cone is visited, the
-      recursion at u reads the marks u's own walk read, in order: u
-      contributes ``values[u]`` and its cone is marked through ``up``, the
-      blocks of each block's tracked parents outside it. Otherwise u runs
-      a nested :func:`_walk`. Visited tracked rows outside b form whole
-      cones, and two such sets meet exactly when they share a *source
-      unit*, a tracked block without ``up``. So the test is
-      ``srcmask[blk[u]] & vsrc``: a unit's mask is its own bit, another
-      block's ORs those of ``up``, and ``vsrc`` ORs the exits' masks.
+    An interior row that is not closed runs :func:`_walk` from each
+    member of its block b. Only rows of b get frames unconditionally. An
+    unvisited row u outside b lies in an earlier block; it is an *exit* when
+    ``srcmask[blk[u]] & vsrc`` is 0, where ``vsrc`` ORs the masks of the
+    exits read so far. An exit contributes ``values[u]``, its cone is
+    marked through ``up``, and its mask is ORed into ``vsrc``. Any other u
+    gets a frame in the same loop, and its parents meet the same rule.
+
+    Why an exit's value is exact: every visited row outside b with a
+    non-zero mask has a unit in ``vsrc``, since an exit ORs its mask,
+    which holds the masks of the cone it marks, and a frame outside b is
+    pushed only when its mask already meets ``vsrc``. A tracked row's
+    mask holds the masks of the tracked rows of its cone, so when
+    ``mask(u) & vsrc`` is 0 no tracked row of u's cone is visited. Rows
+    of mask 0 always pass the test and are never marked, and only their
+    one child, in the cone or u itself, reads them. So the recursion at u
+    reads the marks u's own walk read, in order, and returns
+    ``values[u]``. A pushed row needs no OR of its own mask, because
+    each row it reads passes the same test.
     """
     d = graph.dense
     kinds, probs, parents = d.kinds, d.probs, d.parents
@@ -198,7 +198,6 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
             k += 1
         start[v], tail[v] = acc, ps[k:]
 
-    memo: list[float | None] = [None] * n
     values = seen[:]
     blk, up, srcmask, unit = [0] * n, [()] * len(d.blocks), [0] * len(d.blocks), 1
     cones = (blk, d.blocks, up, srcmask, values)
@@ -208,22 +207,19 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
             blk[r] = c
         if template[v]:
             continue
-        closed = not cyclic and all(
-            template[p] or (outdeg[p] == 1 and memo[p] is not None) for p in parents[v]
-        )
-        if not closed:  # tracked parents have a mask; this block's is still 0
-            up[c] = tuple({blk[p] for r in members for p in parents[r] if srcmask[blk[p]]})
+        # tracked parents have a mask; this block's is still 0
+        up[c] = tuple({blk[p] for r in members for p in parents[r] if srcmask[blk[p]]})
         for x in up[c]:
             srcmask[c] |= srcmask[x]
-        if not up[c] and (outdeg[v] > 1 or not closed):
+        if not up[c] and (cyclic or outdeg[v] > 1):
             srcmask[c], unit = unit, unit << 1
-        if closed:
-            values[v] = memo[v] = _closed_form(d, v, values)
+        if not (cyclic or up[c]):  # closed
+            values[v] = _closed_form(d, v, values)
             continue
         for origin in members:
             visited = template[:]
             visited[origin] = 1
-            values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, memo, cones)
+            values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, cones)
     return dict(zip(d.ids, values))
 
 

@@ -101,7 +101,9 @@ def import_feed(path) -> list[CveRecord]:
             raise SchemaError(f"not a CVE id: {item['cve_id']!r}", f"[{i}].cve_id")
         if cve_id in by_id:
             log.warning("duplicate feed entry for %s; keeping the last one", cve_id)
-        by_id[cve_id] = CveRecord(cve_id, parse_cvss_vector(str(item["vector"])))
+        if not isinstance(item["vector"], str):
+            raise SchemaError("vector must be a string", f"[{i}].vector")
+        by_id[cve_id] = CveRecord(cve_id, parse_cvss_vector(item["vector"]))
     return list(by_id.values())
 
 

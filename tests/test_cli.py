@@ -251,6 +251,20 @@ def test_dot_command(tmp_path):
     assert "P=0.3360" in text
 
 
+@pytest.mark.parametrize("command", ["dot", "score"])
+def test_lone_surrogate_label_is_a_data_error(command, tmp_path, capsys):
+    # json.loads accepts "\ud800", a string UTF-8 cannot encode
+    graph = tmp_path / "g.json"
+    graph.write_text('{"version": "1", "nodes": [{"id": 0, "kind": "leaf", '
+                     '"label": "\\ud800", "p": "0.5"}], "edges": []}')
+    out = tmp_path / "out"
+    extra = ["--feed", str(fixture_path("nvd-feed.json"))] if command == "score" else []
+    assert run([command, "--in", str(graph), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "nodes[0].label" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run(["nosuchcommand"]) == 1
     capsys.readouterr()

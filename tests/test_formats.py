@@ -247,6 +247,13 @@ def test_write_text_into_missing_directory(tmp_path):
         write_text(tmp_path / "missing" / "out.txt", "x\n")
 
 
+def test_write_json_refuses_a_lone_surrogate_before_opening(tmp_path):
+    out = tmp_path / "g.json"
+    with pytest.raises(IoError):
+        write_json(AttackGraph([Node(0, NodeKind.LEAF, "\ud800", 0.5)], []), out)
+    assert not out.exists()
+
+
 def test_read_json_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

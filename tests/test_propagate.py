@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cybag import propagate
 from cybag.errors import GraphCyclicError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
@@ -273,24 +274,43 @@ def test_solve_all_is_bit_identical_to_the_rooted_recursion(g):
 
 
 def test_solve_all_tracks_closed_rows_with_two_children():
-    # Row 0 is closed and feeds rows 1 and 3. From origin 3 the exit 0
-    # contributes its memo and is marked, so the exit 1 must be walked
-    # (it reads 0 as visited) rather than contribute its own value.
+    # Row 0 is closed and feeds rows 1 and 3, so it is a source unit. From
+    # origin 3 the exit 0 contributes its stored value and is marked, so
+    # the row 1, whose cone holds 0, must be walked (it reads 0 as
+    # visited) rather than contribute its own value.
     nodes = [Node(v, A, "", 0.05) for v in (0, 1, 3)]
     g = AttackGraph(nodes, [(0, 1), (0, 3), (1, 3)])
     assert solve_all(g)[3] == solve_node(g, 3) == 0.0
     assert_solve_all_is_bit_identical(g)
 
 
-def test_solve_all_walks_an_exit_whose_cone_is_touched():
-    # The cyclic block {6, 7} has exits 4 and 5, which share the upstream
-    # cycle {2, 3}. From origin 6 the exit 4 contributes its stored value
-    # and marks that cycle, so the exit 5, read from row 7, must be walked.
+def touched_exit_graph():
+    """The cyclic block {6, 7} has exits 4 and 5, which share the upstream
+    cycle {2, 3}. From origin 6 the exit 4 contributes its stored value
+    and marks that cycle, so the row 5, read from row 7, must be walked."""
     nodes = [Node(0, L, "", 0.5), Node(1, L, "", 0.25)]
     nodes += [Node(v, O if v % 2 else A, "", 0.9) for v in range(2, 8)]
     edges = [(0, 2), (2, 3), (3, 2), (1, 3), (2, 4), (3, 5), (1, 5), (4, 6), (5, 7)]
-    g = AttackGraph(nodes, edges + [(6, 7), (7, 6)])
-    assert_solve_all_is_bit_identical(g)
+    return AttackGraph(nodes, edges + [(6, 7), (7, 6)])
+
+
+def test_solve_all_walks_an_exit_whose_cone_is_touched():
+    assert_solve_all_is_bit_identical(touched_exit_graph())
+
+
+def test_solve_all_walks_in_one_loop(monkeypatch):
+    # The walked row 5 gets a frame in origin 7's loop, so _walk runs
+    # once per walked origin and never calls itself.
+    g = touched_exit_graph()
+    walk, origins = propagate._walk, []
+
+    def spy(origin, *args):
+        origins.append(g.dense.ids[origin])
+        return walk(origin, *args)
+
+    monkeypatch.setattr(propagate, "_walk", spy)
+    solve_all(g)
+    assert origins == [2, 3, 4, 5, 6, 7]
 
 
 @pytest.mark.parametrize("cyclicity", [0, 40, 100])

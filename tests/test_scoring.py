@@ -142,6 +142,12 @@ def test_import_feed_errors(tmp_path):
     with pytest.raises(SchemaError) as exc:
         import_feed(badid)
     assert exc.value.path == "[0].cve_id"
+    for vector in (None, ["AV:N/AC:L"], 5):
+        badvec = tmp_path / "badvec.json"
+        badvec.write_text(json.dumps([{"cve_id": "CVE-2020-0001", "vector": vector}]))
+        with pytest.raises(SchemaError) as exc:
+            import_feed(badvec)
+        assert exc.value.path == "[0].vector"
 
 
 def test_import_feed_bad_record_is_a_schema_error(tmp_path):
