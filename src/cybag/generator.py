@@ -43,7 +43,6 @@ from typing import Iterable
 from .errors import InfeasibleError, TooLargeError
 from .formats import INPUT_LIMIT_BYTES, write_text
 from .graph import AttackGraph, Node, NodeKind
-from .propagate import solve_all
 
 LEAF_PROB_PALETTE = (0.35, 0.61, 0.71)
 
@@ -278,6 +277,8 @@ def bench(
     Graphs are deterministic per seed; wall times obviously are not.
     Replicates run sequentially to keep the timings honest.
     """
+    from .propagate import solve_all  # only bench solves; generate stays engine-free
+
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     rows: list[BenchRow] = []

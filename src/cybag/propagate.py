@@ -18,13 +18,16 @@ noisy-or, and both multiply by their own local probability afterwards.
 
 :func:`solve_node` runs that recursion in the kernel :func:`_walk`.
 :func:`solve_all` makes one pass over the condensation in topological
-order: a *closed* row (on no cycle, with no tracked parent) takes the
+order. A *closed* row (on no cycle, with no tracked parent) takes the
 closed-form step :func:`_closed_form`, the product the recursion
-multiplies there, and every other interior row runs :func:`_walk` under
-one reuse rule: a row of an earlier block whose cone the walk has not
-touched gives its stored value, which the recursion would recompute mark
-for mark, and every other row gets a frame. So both agree bit for bit
-with the rooted recursion written out plainly in the tests, the oracle.
+multiplies there. So does an *absorbed* row: an And row on a cycle whose
+one interior parent is in its own block, where the recursion multiplies
+that parent's own value. Every other interior row runs :func:`_walk`
+under one reuse rule: a row of an earlier block whose cone the walk has
+not touched gives its stored value, which the recursion would recompute
+mark for mark, and every other row gets a frame. So both agree bit for
+bit with the rooted recursion written out plainly in the tests, the
+oracle.
 :func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
 
 Recursion is realized with one explicit stack, so graphs with tens of
@@ -60,7 +63,8 @@ def _closed_form(d: DenseIndex, v: int, values: list[float]) -> float:
 
 def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
     """Run the rooted recursion from row ``origin``; the one loop behind
-    :func:`solve_node` and the rows of :func:`solve_all` that are not closed.
+    :func:`solve_node` and the rows of :func:`solve_all` that are neither
+    closed nor absorbed.
 
     A marked row contributes ``seen[row]``. With ``cones``, an unmarked row
     outside the origin's block whose cone meets no exit read so far is an
@@ -155,8 +159,8 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     with at most one child: only that child ever reads it, so no read can
     see its mark.
 
-    An interior row that is not closed runs :func:`_walk` from each
-    member of its block b. Only rows of b get frames unconditionally. An
+    An interior row that is neither closed nor absorbed (below) runs
+    :func:`_walk` from itself, in its block b. Only rows of b get frames unconditionally. An
     unvisited row u outside b lies in an earlier block; it is an *exit* when
     ``srcmask[blk[u]] & vsrc`` is 0, where ``vsrc`` ORs the masks of the
     exits read so far. An exit contributes ``values[u]``, its cone is
@@ -174,6 +178,25 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     reads the marks u's own walk read, in order, and returns
     ``values[u]``. A pushed row needs no OR of its own mask, because
     each row it reads passes the same test.
+
+    An And row o of block b with exactly one interior parent q is
+    *absorbed*: it takes :func:`_closed_form` over ``values[q]`` instead
+    of a walk. A row on a cycle has a parent in its own block, so q is in
+    b. Chains of absorbed rows are resolved parent first. When every row
+    of b is absorbed, each has one parent in b, so b is one simple cycle
+    (or a single row on no cycle): its first row is walked, and every
+    chain ends there.
+
+    Why an absorbed row's value is exact: o's own walk reads only leaves
+    and q, and it enters q's frame in the state the walk from q starts
+    in, except that o is already marked. In the walk from q, o gets a
+    frame when it is first read; it reads its leaves and the marked q, so
+    it contributes ``probs[o] * 0.0 == 0.0``, marks nothing else and
+    reads no exit. A marked o contributes the same 0.0, so both runs take
+    the same steps, q's frame returns ``values[q]`` bit for bit, and o
+    multiplies its parents in order from 1.0, as ``math.prod`` does. An
+    Or row is never absorbed: read from q it contributes the noisy-or of
+    its leaves, not 0.
     """
     d = graph.dense
     kinds, probs, parents = d.kinds, d.probs, d.parents
@@ -216,10 +239,26 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
         if not (cyclic or up[c]):  # closed
             values[v] = _closed_form(d, v, values)
             continue
+        inner = {}  # each absorbed row's one interior parent
+        for o in members:
+            if ands[o]:
+                qs = [p for p in tail[o] if not template[p]]
+                if len(qs) == 1:
+                    inner[o] = qs[0]
+        if len(inner) == len(members):  # one simple cycle, or one acyclic row
+            del inner[v]
         for origin in members:
-            visited = template[:]
-            visited[origin] = 1
-            values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, cones)
+            if origin not in inner:
+                visited = template[:]
+                visited[origin] = 1
+                values[origin] = _walk(origin, visited, tail, start, ands, seen, probs, cones)
+        for o in list(inner):
+            chain = []
+            while o in inner:  # a walked or resolved row ends every chain
+                chain.append(o)
+                o = inner.pop(o)
+            for r in reversed(chain):
+                values[r] = _closed_form(d, r, values)
     return dict(zip(d.ids, values))
 
 

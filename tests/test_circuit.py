@@ -20,10 +20,11 @@ from cybag.circuit import (
     reachability_mc,
     step,
 )
+from cybag.classify import CycleType, classify_cycles
 from cybag.errors import TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
-from cybag.graph import AttackGraph, Node, NodeKind, is_loop_free
+from cybag.graph import AttackGraph, Node, NodeKind, find_cycles, is_loop_free
 from cybag.propagate import solve_node
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
@@ -317,6 +318,43 @@ def test_chunked_enumeration_and_sampling_agree(monkeypatch):
     chunked = reachability_mc(g, 14, 3000, 5)
     assert chunked == reachability_mc(g, 14, 3000, 5)
     assert abs(chunked.probability - mc.probability) <= 4 * (mc.std_error + chunked.std_error)
+
+
+def test_exact_enumeration_across_eight_chunks_matches_one_chunk(monkeypatch, engine_runs):
+    # Every node is compared: a wrong column weight can spare the highest
+    # one, whose value does not depend on the high-index inputs. Per-chunk
+    # sums are summed again, which may round twice, so to 1e-12.
+    g = generate(GenParams(n=30, cyclicity=100, seed=3))
+    total = 1 << len(circuit._fractional_probs(g.dense))
+    whole = {v: reachability_exact(g, v).probability for v in g.node_ids}
+    monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", len(g.node_ids) * total // 8)
+    chunks, _ = engine_runs
+    for v in g.node_ids:
+        chunks.clear()
+        assert reachability_exact(g, v).probability == pytest.approx(whole[v], abs=1e-12), v
+        assert chunks == [total // 8] * 8
+
+
+def test_inputs_of_probability_zero_are_pinned_not_enumerated(engine_runs):
+    # Leaf 0 has p = 0 and feeds the cycle {3, 4} and the And 6. Only the
+    # leaves 1 and 2 are fractional, so there are 2^2 instantiations. The
+    # target 5 turns on with leaf 1, as 3 does, so the cycle is Type 2
+    # and classification enumerates all of them.
+    g = AttackGraph(
+        [Node(0, L, "", 0.0), Node(1, L, "", 0.5), Node(2, L, "", 0.25)]
+        + [Node(v, O if v == 3 else A, "", 1.0) for v in (3, 4, 5, 6)],
+        [(0, 3), (1, 3), (4, 3), (3, 4), (2, 4), (1, 5), (0, 6)],
+    )
+    exact = [reachability_exact(g, v) for v in g.node_ids]
+    assert [e.probability for e in exact] == [0.0, 0.5, 0.25, 0.5, 0.125, 0.5, 0.0]
+    assert {e.samples for e in exact} == {2**2}
+    assert reachability_mc(g, 6, 1000, 3) == circuit.ReachEstimate(0.0, "monte-carlo", 1000, 0.0)
+    assert reachability_mc(g, 0, 1000, 3).probability == 0.0
+    chunks, _ = engine_runs
+    chunks.clear()
+    (report,) = classify_cycles(g, find_cycles(g), target=5)
+    assert report.cycle_type is CycleType.TYPE2
+    assert sum(chunks) == 2**2
 
 
 def test_reachability_mc_sample_limit():

@@ -174,6 +174,13 @@ def test_pure_python_commands_leave_numpy_unloaded(argv, tmp_path):
     assert proc.stderr.splitlines()[-1] == "False 0"
 
 
+def test_generate_leaves_the_solver_unloaded(tmp_path):
+    code = CLI_PROBE.replace("'numpy'", "'cybag.propagate'")
+    argv = ["generate", "--n", "60", "--cyclicity", "40", "--out", "g.json"]
+    proc = run_python(code, *argv, cwd=tmp_path)
+    assert proc.stderr.splitlines()[-1] == "False 0"
+
+
 def test_exact_circuit_leaves_numpy_unloaded_and_prints_its_golden_output():
     proc = run_python(CLI_PROBE, "circuit", "--in", RUNNING, "--node", "9")
     assert proc.stderr.splitlines()[-1] == "False 0"

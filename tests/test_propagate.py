@@ -1,4 +1,5 @@
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -298,10 +299,8 @@ def test_solve_all_walks_an_exit_whose_cone_is_touched():
     assert_solve_all_is_bit_identical(touched_exit_graph())
 
 
-def test_solve_all_walks_in_one_loop(monkeypatch):
-    # The walked row 5 gets a frame in origin 7's loop, so _walk runs
-    # once per walked origin and never calls itself.
-    g = touched_exit_graph()
+def walked_origins(monkeypatch, g):
+    """Ids of the rows that ``solve_all(g)`` runs ``_walk`` from, in order."""
     walk, origins = propagate._walk, []
 
     def spy(origin, *args):
@@ -310,7 +309,100 @@ def test_solve_all_walks_in_one_loop(monkeypatch):
 
     monkeypatch.setattr(propagate, "_walk", spy)
     solve_all(g)
-    assert origins == [2, 3, 4, 5, 6, 7]
+    monkeypatch.setattr(propagate, "_walk", walk)
+    return origins
+
+
+def test_solve_all_walks_in_one_loop(monkeypatch):
+    # The walked row 5 gets a frame in origin 7's loop, so _walk runs
+    # once per walked origin and never calls itself. Row 2 is an And whose
+    # one interior parent, row 3, lies in its own block {2, 3}: it is
+    # absorbed, a closed-form step over row 3's value, and is not walked.
+    assert walked_origins(monkeypatch, touched_exit_graph()) == [3, 4, 5, 6, 7]
+
+
+def and_cycle():
+    """The And rows 10 <- 13 <- 12 <- 11 <- 10 form one simple cycle, so
+    every row is absorbed and each chain runs against id order. Leaf 0-3
+    feed one row each, and leaf 20 feeds row 10 after its parent 13."""
+    nodes = [Node(v, L, "", 0.25 * (v + 1)) for v in range(4)] + [Node(20, L, "", 0.35)]
+    nodes += [Node(v, A, "", 0.9) for v in range(10, 14)]
+    edges = [(v, v + 10) for v in range(4)] + [(20, 10), (13, 12), (12, 11), (11, 10), (10, 13)]
+    return AttackGraph(nodes, edges)
+
+
+def test_solve_all_walks_one_row_of_an_and_cycle(monkeypatch):
+    # Every row of the cycle is absorbed, so the first one is walked and
+    # every chain of absorbed rows must stop there: each other row takes
+    # one closed-form step, parent first. The alarm turns a chain that
+    # never ends into a failure.
+    g = and_cycle()
+    closed_form, steps = propagate._closed_form, []
+
+    def spy(d, v, values):
+        steps.append(d.ids[v])
+        return closed_form(d, v, values)
+
+    def alarm(signum, frame):
+        raise TimeoutError("solve_all did not resolve the absorbed rows")
+
+    monkeypatch.setattr(propagate, "_closed_form", spy)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        assert walked_origins(monkeypatch, g) == [10]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert steps == [13, 12, 11]
+    assert_solve_all_is_bit_identical(g)
+
+
+def test_solve_all_walks_an_and_self_loop_once(monkeypatch):
+    g = AttackGraph([Node(0, L, "", 0.5), Node(1, A, "", 0.9)], [(0, 1), (1, 1)])
+    assert walked_origins(monkeypatch, g) == [1]
+    assert solve_all(g)[1] == 0.0
+    assert_solve_all_is_bit_identical(g)
+
+
+def network_graph():
+    """A MulVAL-style network: four hosts in the subnets {0, 2} and {1, 3},
+    linked across by 0 -> 1 and 3 -> 2. Leaf 0 is a certain
+    ``attackerLocated`` that reaches subnet 0, and each host h has two
+    ``vulExists(h, v)`` leaves and an Or ``execCode(h)``. Every link (a, b)
+    and vulnerability v of b gives an And ``exploit(a, b, v)`` fed by
+    ``execCode(a)`` and ``vulExists(b, v)``, feeding ``execCode(b)``."""
+    hosts, vulns = range(4), range(2)
+    links = [(a, b) for a in hosts for b in hosts if a != b and a % 2 == b % 2]
+    links += [(0, 1), (3, 2)]
+    nodes = [Node(0, L, "attackerLocated", 1.0)]
+    vul = {(h, v): 1 + 2 * h + v for h in hosts for v in vulns}
+    nodes += [Node(i, L, f"vulExists({h},{v})", (0.35, 0.61, 0.71)[i % 3]) for (h, v), i in vul.items()]
+    exec_code = {h: 9 + h for h in hosts}
+    nodes += [Node(i, O, f"execCode({h})", 1.0) for h, i in exec_code.items()]
+    edges, feeds = [], [(0, "attacker", b) for b in hosts if b % 2 == 0]
+    feeds += [(exec_code[a], a, b) for a, b in links]
+    for row, a, b in feeds:
+        for v in vulns:
+            e = len(nodes)
+            nodes.append(Node(e, A, f"exploit({a},{b},{v})", 0.8))
+            edges += [(row, e), (vul[b, v], e), (e, exec_code[b])]
+    return AttackGraph(nodes, edges), sorted(exec_code.values())
+
+
+def test_solve_all_walks_only_the_or_rows_of_a_network(monkeypatch):
+    # each exploit inside the hosts' one cyclic block is absorbed into the
+    # execCode row that feeds it; the attacker's exploits are closed
+    g, or_rows = network_graph()
+    assert walked_origins(monkeypatch, g) == or_rows
+    assert_solve_all_is_bit_identical(g)
+
+
+def test_solve_all_pins_its_walks_on_a_generated_graph(monkeypatch):
+    # 337 rows lie on cycles and 353 rows are not closed; the absorbed And
+    # rows among them take a closed-form step instead of a walk
+    g = generate(GenParams(n=1000, cyclicity=100, seed=0))
+    assert len(walked_origins(monkeypatch, g)) == 202
 
 
 @pytest.mark.parametrize("cyclicity", [0, 40, 100])
