@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,22 +33,23 @@ WIDTH_LIMIT = 20
 BRUTE_FORCE_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(namedtuple("Factor", "scope table")):
     """Dense table over a set of Boolean variables.
 
-    ``scope`` is ascending and ``table`` has one binary axis per scope
-    variable, in scope order.
+    ``scope`` is an ascending tuple and ``table`` a numpy array with one
+    binary axis per scope variable, in scope order.
     """
 
-    scope: tuple[int, ...]
-    table: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if tuple(sorted(self.scope)) != self.scope:
+    def __new__(cls, scope: tuple[int, ...], table: np.ndarray):
+        if tuple(sorted(scope)) != scope:
             raise ValueError("factor scope must be ascending")
-        if self.table.shape != (2,) * len(self.scope):
+        if table.shape != (2,) * len(scope):
             raise ValueError("table shape does not match scope")
+        return tuple.__new__(cls, (scope, table))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     def multiply(self, other: "Factor") -> "Factor":
         scope = tuple(sorted(set(self.scope) | set(other.scope)))

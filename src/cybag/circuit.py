@@ -41,10 +41,10 @@ semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, repeat
 from operator import mul
-from typing import Iterable, Iterator, Mapping
 
 from .errors import TooLargeError
 from .graph import AttackGraph, DenseIndex, NodeKind
@@ -59,32 +59,29 @@ Tick = tuple[list[int], list[tuple[int, int]]]
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
 
 
-@dataclass(frozen=True)
-class Instantiation:
+class Instantiation(namedtuple("Instantiation", "bits")):
     """One 0/1 assignment to every primed input, keyed by the id of the
-    node each input feeds."""
+    node each input feeds: ``bits`` maps node ids to 0 or 1."""
 
-    bits: Mapping[int, int]
+    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(frozenset(self.bits.items()))
 
 
-@dataclass(frozen=True)
-class CircuitState:
-    values: Mapping[int, int]
-    iteration: int
+class CircuitState(namedtuple("CircuitState", "values iteration")):
+    """Every gate's 0/1 value by node id after ``iteration`` steps."""
+
+    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash((frozenset(self.values.items()), self.iteration))
 
 
-@dataclass(frozen=True)
-class ReachEstimate:
-    probability: float
-    method: str  # "exact" or "monte-carlo"
-    samples: int
-    std_error: float
+class ReachEstimate(namedtuple("ReachEstimate", "probability method samples std_error")):
+    """``method`` is "exact" or "monte-carlo"."""
+
+    __slots__ = ()
 
 
 def _check_domain(graph: AttackGraph, mapping: Mapping[int, int], what: str) -> None:

@@ -27,7 +27,7 @@ and :func:`classify_all` are thin wrappers over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .circuit import (
@@ -48,23 +48,21 @@ class CycleType(Enum):
     TYPE3 = 3
 
 
-@dataclass(frozen=True)
-class FirstHit:
-    """Earliest tick at which a node turns on; None when it never does."""
+class FirstHit(namedtuple("FirstHit", "node k_star_i")):
+    """Earliest tick ``k_star_i`` at which a node turns on; None when it never does."""
 
-    node: int
-    k_star_i: int | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """``cycle_type`` is None only from :func:`classify_cycles` without a
-    target, for a cycle that can fire."""
+class CycleReport(
+    namedtuple("CycleReport", "cycle cycle_type target witness", defaults=(None, None))
+):
+    """A :class:`CyclePath` and its :class:`CycleType`; ``witness`` is an
+    (:class:`Instantiation`, int, int) triple or None. ``cycle_type`` is
+    None only from :func:`classify_cycles` without a target, for a cycle
+    that can fire."""
 
-    cycle: CyclePath
-    cycle_type: CycleType | None
-    target: int | None = None
-    witness: tuple[Instantiation, int, int] | None = None
+    __slots__ = ()
 
 
 def first_hit(graph: AttackGraph, inst: Instantiation) -> list[FirstHit]:

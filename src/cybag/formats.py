@@ -22,11 +22,9 @@ A companion document for bipartite exploit/condition graphs (used by the
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from importlib import resources
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import IoError, ParseError, SchemaError, TooLargeError
 from .graph import AttackGraph, Node, NodeKind, PlainBag, edge_issue
@@ -136,6 +134,27 @@ def document_to_graph(doc) -> AttackGraph:
     nodes: list[Node] = []
     ids: set[int] = set()
     for i, item in enumerate(doc["nodes"]):
+        # One test accepts the common node, built without Node's checks,
+        # which it implies; any other item takes the per-field rules below.
+        try:
+            plain = (
+                type(item) is dict
+                and type(nid := item.get("id")) is int
+                and nid >= 0
+                and nid not in ids
+                and type(raw_kind := item.get("kind")) is str
+                and (kind := _KINDS_BY_VALUE.get(raw_kind)) is not None
+                and type(label := item.get("label", "")) is str
+                and label.isascii()
+                and type(raw_p := item.get("p", "1")) is str
+                and 0.0 <= (prob := float(raw_p)) <= 1.0
+            )
+        except ValueError:  # p does not spell a number
+            plain = False
+        if plain:
+            ids.add(nid)
+            nodes.append(tuple.__new__(Node, (nid, kind, label, abs(prob))))
+            continue
         where = f"nodes[{i}]"
         if not isinstance(item, dict):
             raise SchemaError("node must be an object", where)
@@ -155,7 +174,22 @@ def document_to_graph(doc) -> AttackGraph:
         nodes.append(Node(nid, kind, label, prob))
 
     seen: set[tuple[int, int]] = set()
-    edges = [_parse_edge(e, f"edges[{i}]", ids, seen) for i, e in enumerate(doc["edges"])]
+    edges = []
+    for i, e in enumerate(doc["edges"]):  # the common edge passes the same way
+        if (
+            type(e) is list
+            and len(e) == 2
+            and type(src := e[0]) is int
+            and type(dst := e[1]) is int
+            and src != dst
+            and src in ids
+            and dst in ids
+            and (edge := (src, dst)) not in seen
+        ):
+            seen.add(edge)
+            edges.append(edge)
+        else:
+            edges.append(_parse_edge(e, f"edges[{i}]", ids, seen))
     return AttackGraph(nodes, edges)
 
 
@@ -245,6 +279,8 @@ def read_plain_json(path) -> PlainBag:
 
 def _csv_rows(path):
     """Non-empty rows of a CSV file, each with its ``(path, line)``."""
+    import csv
+
     rows = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         for row in rows:
@@ -316,6 +352,8 @@ def write_dot(
 
 def fixture_path(name: str):
     """Filesystem path of a bundled fixture such as ``fig5.json``."""
+    from importlib import resources
+
     return resources.files("cybag").joinpath("fixtures", name)
 
 

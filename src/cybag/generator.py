@@ -37,8 +37,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import InfeasibleError, TooLargeError
 from .formats import INPUT_LIMIT_BYTES, write_text
@@ -47,15 +47,17 @@ from .graph import AttackGraph, Node, NodeKind
 LEAF_PROB_PALETTE = (0.35, 0.61, 0.71)
 
 
-@dataclass(frozen=True)
-class GenParams:
-    n: int
-    cyclicity: float
-    ratio: tuple[float, float, float] = (50.0, 35.0, 15.0)
-    seed: int = 0
-    max_parents: int = 4
+class GenParams(
+    namedtuple(
+        "GenParams", "n cyclicity ratio seed max_parents", defaults=((50.0, 35.0, 15.0), 0, 4)
+    )
+):
+    """Generator inputs: node count, cyclicity in [0, 100], the leaf:And:Or
+    ``ratio`` in percent, RNG seed and the most parents a node draws."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n}")
         if not 0.0 <= self.cyclicity <= 100.0:
@@ -70,14 +72,13 @@ class GenParams:
             # random.Random(-s) seeds exactly like Random(s)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    cyclicity: float
-    replicate: int
-    wall_time_seconds: float
-    nodes_in_cycles: int
+
+class BenchRow(
+    namedtuple("BenchRow", "n cyclicity replicate wall_time_seconds nodes_in_cycles")
+):
+    __slots__ = ()
 
 
 def _counts(n: int, ratio: tuple[float, float, float]) -> tuple[int, int, int]:

@@ -11,16 +11,23 @@ into strongly connected components, each built on first use and cached
 on the graph. :func:`edge_issue` holds the edge rules of :func:`validate`
 and of every reader in :mod:`cybag.formats`.
 
+The records (:class:`Node`, :class:`CyclePath`, :class:`Issue`) are
+``collections.namedtuple`` subclasses without a ``__dict__``: a checked
+``__new__`` builds the tuple, and ``_replace`` runs the same checks.
+:class:`AttackGraph` is a plain class that refuses attribute assignment
+and compares and hashes by its nodes and edges. Neither costs the
+``dataclasses`` import or its per-class code generation at start-up.
+
 Graphs are immutable after construction and all functions here are pure,
 so everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Container, Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
@@ -37,35 +44,30 @@ class NodeKind(Enum):
     OR = "or"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(namedtuple("Node", "id kind label local_prob")):
     """A single graph node: identity, gate kind, label and local probability."""
 
-    id: int
-    kind: NodeKind
-    label: str = ""
-    local_prob: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, id: int, kind: NodeKind, label: str = "", local_prob: float = 1.0):
         # a non-plain id or probability (a numpy scalar, say) is checked and converted
-        if type(self.id) is not int or type(self.local_prob) is not float:
+        if type(id) is not int or type(local_prob) is not float:
             import numbers
 
-            if type(self.id) is bool or not isinstance(self.id, numbers.Integral):
-                raise ValueError(f"node id must be an integer, got {self.id!r}")
-            if type(self.local_prob) is bool or not isinstance(self.local_prob, numbers.Real):
-                raise ValueError(f"local_prob must be a real number, got {self.local_prob!r}")
-            object.__setattr__(self, "id", int(self.id))
-            object.__setattr__(self, "local_prob", float(self.local_prob))
-        if self.id < 0:
-            raise ValueError(f"node id must be non-negative, got {self.id}")
-        if not 0.0 <= self.local_prob <= 1.0:
-            raise ValueError(
-                f"local_prob must be in [0, 1], got {self.local_prob} for node {self.id}"
-            )
+            if type(id) is bool or not isinstance(id, numbers.Integral):
+                raise ValueError(f"node id must be an integer, got {id!r}")
+            if type(local_prob) is bool or not isinstance(local_prob, numbers.Real):
+                raise ValueError(f"local_prob must be a real number, got {local_prob!r}")
+            id, local_prob = int(id), float(local_prob)
+        if id < 0:
+            raise ValueError(f"node id must be non-negative, got {id}")
+        if not 0.0 <= local_prob <= 1.0:
+            raise ValueError(f"local_prob must be in [0, 1], got {local_prob} for node {id}")
+        return tuple.__new__(cls, (id, kind, label, local_prob))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
 class AttackGraph:
     """Immutable directed graph of typed nodes.
 
@@ -81,6 +83,23 @@ class AttackGraph:
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[int, int]]):
         object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
         object.__setattr__(self, "edges", tuple(sorted((int(a), int(b)) for a, b in edges)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: AttackGraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: AttackGraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nodes == other.nodes and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.nodes, self.edges))
+
+    def __repr__(self):
+        return f"AttackGraph(nodes={self.nodes!r}, edges={self.edges!r})"
 
     @cached_property
     def node_ids(self) -> tuple[int, ...]:
@@ -209,7 +228,6 @@ def _components(
     return comps
 
 
-@dataclass(frozen=True)
 class PlainBag:
     """Bipartite exploit/condition graph with an individual score per node.
 
@@ -218,22 +236,12 @@ class PlainBag:
     graph must be acyclic; nodes missing from ``score`` default to 1.0.
     """
 
-    exploits: frozenset[int]
-    conditions: frozenset[int]
-    require_edges: tuple[tuple[int, int], ...]
-    imply_edges: tuple[tuple[int, int], ...]
-    score: Mapping[int, float]
-
     def __init__(self, exploits, conditions, require_edges, imply_edges, score):
-        object.__setattr__(self, "exploits", frozenset(exploits))
-        object.__setattr__(self, "conditions", frozenset(conditions))
-        object.__setattr__(
-            self, "require_edges", tuple(sorted((int(a), int(b)) for a, b in require_edges))
-        )
-        object.__setattr__(
-            self, "imply_edges", tuple(sorted((int(a), int(b)) for a, b in imply_edges))
-        )
-        object.__setattr__(self, "score", dict(score))
+        self.exploits = frozenset(exploits)
+        self.conditions = frozenset(conditions)
+        self.require_edges = tuple(sorted((int(a), int(b)) for a, b in require_edges))
+        self.imply_edges = tuple(sorted((int(a), int(b)) for a, b in imply_edges))
+        self.score: Mapping[int, float] = dict(score)
         overlap = self.exploits & self.conditions
         if overlap:
             raise ValueError(f"ids appear as both exploit and condition: {sorted(overlap)}")
@@ -245,22 +253,24 @@ class PlainBag:
                 raise ValueError(f"imply edge ({e}, {c}) is not exploit -> condition")
 
 
-@dataclass(frozen=True)
-class CyclePath:
+class CyclePath(namedtuple("CyclePath", "nodes")):
     """A simple directed cycle, canonicalized to start at its smallest node id.
 
     ``nodes`` lists the cycle with the first id repeated at the end; a
     self-edge is the one-node cycle ``(v, v)``.
     """
 
-    nodes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.nodes) < 2 or self.nodes[0] != self.nodes[-1]:
-            raise ValueError(f"not a closed path: {self.nodes}")
-        interior = self.nodes[:-1]
+    def __new__(cls, nodes: tuple[int, ...]):
+        if len(nodes) < 2 or nodes[0] != nodes[-1]:
+            raise ValueError(f"not a closed path: {nodes}")
+        interior = nodes[:-1]
         if len(set(interior)) != len(interior):
-            raise ValueError(f"cycle is not simple: {self.nodes}")
+            raise ValueError(f"cycle is not simple: {nodes}")
+        return tuple.__new__(cls, (nodes,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
     @property
     def node_set(self) -> frozenset[int]:
@@ -271,17 +281,16 @@ class CyclePath:
         return tuple(zip(self.nodes[:-1], self.nodes[1:]))
 
 
-@dataclass(frozen=True)
-class Issue:
-    code: str
-    subject: object  # node id or edge pair
-    message: str
+class Issue(namedtuple("Issue", "code subject message")):
+    """``subject`` is a node id or an edge pair."""
+
+    __slots__ = ()
 
 
-@dataclass
 class ValidationReport:
-    errors: list[Issue] = field(default_factory=list)
-    warnings: list[Issue] = field(default_factory=list)
+    def __init__(self):
+        self.errors: list[Issue] = []
+        self.warnings: list[Issue] = []
 
     @property
     def ok(self) -> bool:

@@ -21,11 +21,12 @@ noisy-or, and both multiply by their own local probability afterwards.
 order. A *closed* row (on no cycle, with no tracked parent) takes the
 closed-form step :func:`_closed_form`, the product the recursion
 multiplies there. So does an *absorbed* row: an And row on a cycle whose
-one interior parent is in its own block, where the recursion multiplies
-that parent's own value. Every other interior row runs :func:`_walk`
-under one reuse rule: a row of an earlier block whose cone the walk has
-not touched gives its stored value, which the recursion would recompute
-mark for mark, and every other row gets a frame. So both agree bit for
+one interior parent is in its own block, or an Or row on a cycle with
+that parent only, where the recursion multiplies that parent's own
+value. Every other interior row runs :func:`_walk` under one reuse
+rule: a row of an earlier block whose cone the walk has not touched
+gives its stored value, which the recursion would recompute mark for
+mark, and every other row gets a frame. So both agree bit for
 bit with the rooted recursion written out plainly in the tests, the
 oracle.
 :func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
@@ -38,7 +39,7 @@ is pure.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import GraphCyclicError
 from .graph import AttackGraph, DenseIndex, NodeKind
@@ -179,13 +180,13 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     ``values[u]``. A pushed row needs no OR of its own mask, because
     each row it reads passes the same test.
 
-    An And row o of block b with exactly one interior parent q is
-    *absorbed*: it takes :func:`_closed_form` over ``values[q]`` instead
-    of a walk. A row on a cycle has a parent in its own block, so q is in
-    b. Chains of absorbed rows are resolved parent first. When every row
-    of b is absorbed, each has one parent in b, so b is one simple cycle
-    (or a single row on no cycle): its first row is walked, and every
-    chain ends there.
+    An And row o of block b with exactly one interior parent q, or an Or
+    row whose only parent is q, is *absorbed*: it takes
+    :func:`_closed_form` over ``values[q]`` instead of a walk. A row on a
+    cycle has a parent in its own block, so q is in b. Chains of absorbed
+    rows are resolved parent first. When every row of b is absorbed, each
+    has one parent in b, so b is one simple cycle (or a single row on no
+    cycle): its first row is walked, and every chain ends there.
 
     Why an absorbed row's value is exact: o's own walk reads only leaves
     and q, and it enters q's frame in the state the walk from q starts
@@ -195,8 +196,11 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     reads no exit. A marked o contributes the same 0.0, so both runs take
     the same steps, q's frame returns ``values[q]`` bit for bit, and o
     multiplies its parents in order from 1.0, as ``math.prod`` does. An
-    Or row is never absorbed: read from q it contributes the noisy-or of
-    its leaves, not 0.
+    Or row whose only parent is q contributes ``probs[o] * (1.0 - 1.0 *
+    (1.0 - 0.0)) == 0.0`` in the walk from q and marks nothing else, so
+    the same argument holds word for word. An Or row with a leaf parent
+    is not absorbed: read from q it contributes the noisy-or of its
+    leaves, not 0.
     """
     d = graph.dense
     kinds, probs, parents = d.kinds, d.probs, d.parents
@@ -241,10 +245,9 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
             continue
         inner = {}  # each absorbed row's one interior parent
         for o in members:
-            if ands[o]:
-                qs = [p for p in tail[o] if not template[p]]
-                if len(qs) == 1:
-                    inner[o] = qs[0]
+            qs = [p for p in tail[o] if not template[p]]
+            if len(qs) == 1 and (ands[o] or len(parents[o]) == 1):
+                inner[o] = qs[0]
         if len(inner) == len(members):  # one simple cycle, or one acyclic row
             del inner[v]
         for origin in members:

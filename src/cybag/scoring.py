@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .errors import SchemaError
 from .formats import load_json
@@ -31,24 +31,28 @@ class Complexity(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class ComplexityScore:
-    value: Complexity
-    cvss_version: int | None  # 2, 3 or None for unknown
+class ComplexityScore(namedtuple("ComplexityScore", "value cvss_version")):
+    """A :class:`Complexity` and its CVSS version: 2, 3 or None for unknown."""
 
-    def __post_init__(self):
-        if self.value is Complexity.MEDIUM and self.cvss_version != 2:
+    __slots__ = ()
+
+    def __new__(cls, value: Complexity, cvss_version: int | None):
+        if value is Complexity.MEDIUM and cvss_version != 2:
             raise ValueError("Medium complexity exists only in CVSS version 2")
+        return tuple.__new__(cls, (value, cvss_version))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
-@dataclass(frozen=True)
-class CveRecord:
-    cve_id: str
-    complexity: ComplexityScore
+class CveRecord(namedtuple("CveRecord", "cve_id complexity")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not CVE_PATTERN.fullmatch(self.cve_id):
-            raise ValueError(f"not a CVE id: {self.cve_id!r}")
+    def __new__(cls, cve_id: str, complexity: ComplexityScore):
+        if not CVE_PATTERN.fullmatch(cve_id):
+            raise ValueError(f"not a CVE id: {cve_id!r}")
+        return tuple.__new__(cls, (cve_id, complexity))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
 _LOCAL_PROBABILITY = {

@@ -32,6 +32,43 @@ def test_node_rejects_negative_id():
         Node(-1, L)
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Node(0, L, "x", 0.5), "local_prob"),
+        (AttackGraph([Node(0, L)], []), "nodes"),
+        (GenParams(n=10, cyclicity=0), "n"),
+    ],
+    ids=["Node", "AttackGraph", "GenParams"],
+)
+def test_records_refuse_field_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+
+
+def test_equal_graphs_hash_alike():
+    a = AttackGraph([Node(1, O), Node(0, L, "x", 0.5)], [(0, 1)])
+    b = AttackGraph([Node(0, L, "x", 0.5), Node(1, O)], [(0, 1)])
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != AttackGraph([Node(0, L, "x", 0.5), Node(1, O)], [])
+    assert repr(a) == f"AttackGraph(nodes={a.nodes!r}, edges=((0, 1),))"
+
+
+def test_replace_runs_the_record_checks():
+    # numpy scalars and bool ids: test_formats.py::test_numpy_scalars_round_trip
+    with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+        Node(0, L)._replace(local_prob=1.5)
+    with pytest.raises(ValueError, match="not simple"):
+        CyclePath((1, 2, 1))._replace(nodes=(1, 2, 2, 1))
+    with pytest.raises(ValueError, match="cyclicity"):
+        GenParams(n=10, cyclicity=0)._replace(cyclicity=101)
+    assert Node(0, L)._asdict() == {"id": 0, "kind": L, "label": "", "local_prob": 1.0}
+
+
 def test_validate_well_formed(fig5):
     report = validate(fig5)
     assert report.ok

@@ -7,7 +7,9 @@ keep only as a reference oracle. ``formats.py`` is the one file boundary:
 no other module opens a file. ``DenseIndex.row`` in ``graph.py`` is the
 one node lookup: no other module raises ``UnknownNodeError``. The package
 root and the CLI import no engine at module level, so a command loads
-only the engine it runs, and numpy only when that engine needs it.
+only the engine it runs, and numpy only when that engine needs it. No
+module imports ``dataclasses``, and the pure-Python commands start
+without ``typing``, ``csv`` or ``importlib.resources``.
 """
 
 import ast
@@ -65,6 +67,18 @@ def test_no_module_imports_networkx():
     assert users == []
 
 
+def test_no_module_imports_dataclasses():
+    # namedtuple records and plain classes keep dataclasses (and the
+    # inspect, ast and tokenize modules it loads) off every import path
+    users = sorted(
+        path.name
+        for path in MODULES
+        for level, module, _ in imports(path)
+        if level == 0 and module.split(".")[0] == "dataclasses"
+    )
+    assert users == []
+
+
 def test_only_formats_opens_files():
     openers = {
         path.name
@@ -118,9 +132,9 @@ def test_no_engine_imported_at_module_level(name):
     assert named & ENGINES == set()
 
 
-def run_python(code, *args, cwd=None):
+def run_python(code, *args, cwd=None, flags=()):
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
         capture_output=True,
         text=True,
@@ -191,3 +205,30 @@ def test_exact_circuit_leaves_numpy_unloaded_and_prints_its_golden_output():
 def test_sampled_circuit_loads_numpy():
     proc = run_python(CLI_PROBE, "circuit", "--in", RUNNING, "--node", "9", "--mc", "100")
     assert proc.stderr.splitlines()[-1] == "True 0"
+
+
+# Modules no pure-Python command needs at start-up. ``-S`` skips site,
+# whose preloads (a .pth file importing typing, say) would hide a
+# regression.
+STARTUP_UNUSED = ("dataclasses", "inspect", "typing", "csv", "importlib.resources")
+STARTUP_PROBE = (
+    "import sys, cybag.cli\n"
+    "code = cybag.cli.run(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    f"print([m for m in {STARTUP_UNUSED!r} if m in sys.modules], code, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["solve", "--in", RUNNING],
+        ["generate", "--n", "60", "--cyclicity", "40", "--out", "g.json"],
+        ["circuit", "--in", RUNNING, "--node", "9"],
+        ["cycles", "--in", RUNNING, "--target", "14"],
+    ],
+    ids=["import", "solve", "generate", "circuit", "cycles"],
+)
+def test_commands_start_without_dataclasses_typing_or_resources(argv, tmp_path):
+    proc = run_python(STARTUP_PROBE, *argv, cwd=tmp_path, flags=["-S"])
+    assert proc.stderr.splitlines()[-1] == "[] 0"

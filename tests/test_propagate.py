@@ -365,6 +365,20 @@ def test_solve_all_walks_an_and_self_loop_once(monkeypatch):
     assert_solve_all_is_bit_identical(g)
 
 
+def test_solve_all_absorbs_an_or_row_with_one_parent(monkeypatch):
+    # In the cycle 2 -> 3 -> 4 -> 5 -> 2 the Or row 3 has the one parent
+    # 2 and is absorbed; the Or row 5 has the leaf 1 beside its parent 4,
+    # so read from 4 it contributes 0.25 * 0.8, not 0, and is walked. Row
+    # 4 is an absorbed And, and row 2 has two interior parents.
+    nodes = [Node(0, L, "", 0.5), Node(1, L, "", 0.25)]
+    nodes += [Node(2, A, "", 0.9), Node(3, O, "", 0.7), Node(4, A, "", 0.6), Node(5, O, "", 0.8)]
+    nodes += [Node(6, O, "", 0.95)]
+    edges = [(0, 6), (6, 2), (2, 3), (3, 4), (0, 4), (4, 5), (1, 5), (5, 2)]
+    g = AttackGraph(nodes, edges)
+    assert walked_origins(monkeypatch, g) == [2, 5]
+    assert_solve_all_is_bit_identical(g)
+
+
 def network_graph():
     """A MulVAL-style network: four hosts in the subnets {0, 2} and {1, 3},
     linked across by 0 -> 1 and 3 -> 2. Leaf 0 is a certain
@@ -400,9 +414,10 @@ def test_solve_all_walks_only_the_or_rows_of_a_network(monkeypatch):
 
 def test_solve_all_pins_its_walks_on_a_generated_graph(monkeypatch):
     # 337 rows lie on cycles and 353 rows are not closed; the absorbed And
-    # rows among them take a closed-form step instead of a walk
+    # rows and single-parent Or rows among them take a closed-form step
+    # instead of a walk
     g = generate(GenParams(n=1000, cyclicity=100, seed=0))
-    assert len(walked_origins(monkeypatch, g)) == 202
+    assert len(walked_origins(monkeypatch, g)) == 171
 
 
 @pytest.mark.parametrize("cyclicity", [0, 40, 100])
