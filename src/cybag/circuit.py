@@ -302,17 +302,19 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
     for start, m, cells in _enumerate(d, EXACT_ENUM_LIMIT, "enumeration"):
         # a column's weight is the product of its inputs' factors in input
         # order. Every chunk is m wide: the products over the bits that vary
-        # in half a chunk are doubled out once, and the columns each half
-        # picks take that half's constant factors lazily.
-        half = max(1, m // 2)
-        while len(weights) < half:
+        # in an eighth of a chunk are doubled out once, and the columns each
+        # eighth picks take that eighth's constant factors lazily. At 32
+        # bytes a float, the table is about as large as the chunk's packed
+        # bits, where a half-chunk table would be four times that.
+        part = max(1, m // 8)
+        while len(weights) < part:
             p = fractional[len(weights).bit_length() - 1]
             weights = [w * f for f in (1.0 - p, p) for w in weights]
         on = bin(_evaluate(d, cells)[row])[:1:-1].encode().translate(_BIT_FLAGS)
         parts = []
-        for s in range(0, m, half):
-            picked = compress(weights, on[s : s + half])  # byte c of ``on`` is bit c
-            for j in range(half.bit_length() - 1, len(fractional)):
+        for s in range(0, m, part):
+            picked = compress(weights, on[s : s + part])  # byte c of ``on`` is bit c
+            for j in range(part.bit_length() - 1, len(fractional)):
                 p = fractional[j]
                 picked = map(mul, picked, repeat(p if (start + s) >> j & 1 else 1.0 - p))
             parts.append(picked)

@@ -17,19 +17,32 @@ only And nodes. So every path from one Or node to another alternates
 Or -> And -> Or, and follows the Or-level arcs p => t, one for each Or p
 that feeds an And that feeds Or t. Every And has at most one Or child,
 known where its Or parents are picked: an action's target state, or a
-bridge's far end. So each arc is linked where its Or parent is wired,
-and the loop walks these arcs instead of the whole graph.
+bridge's far end. So each arc of the base wiring is linked where its Or
+parent is wired (a bridge's arc needs no link, see below), and the loop
+walks these arcs instead of the whole graph.
 
 Coverage is tracked incrementally: a bridge x -> a -> y puts on a cycle
 exactly the nodes in desc(y) & anc(x), so no strongly connected
-component is ever recomputed. To pick y the loop has already walked
-anc(x), and the bridge does not change it: a new path into x passes
-through x before it takes the bridge. So the covering walk goes down
-from y and stays inside anc(x), since every node on a path from y to a
-node of anc(x) is itself in anc(x). When x has no ancestor state and the
-loop bridges from one of its descendants z instead, the covering walk
-goes up from z inside desc(x). When x has neither, two bridges x -> w
-and w -> x close only the cycle through x and w.
+component of the whole graph is ever recomputed. Instead the loop keeps
+the components of the Or-level graph as the bridges merge them, in a
+union-find whose roots carry their members as one bit mask and their
+arcs to other components, and walks components, not nodes, so a walk
+does not go again through the cycles already merged above x. To pick y
+the loop has already walked anc(x), and the bridge does not change it:
+a new path into x passes through x before it takes the bridge. So the
+covering walk goes down from y and stays inside the components of
+anc(x), since every node on a path from y to a node of anc(x) is itself
+in anc(x); the components it visits become one. When x has no ancestor
+state and the loop bridges from one of its descendants z instead, the
+covering walk goes up from z inside desc(x). When x has neither, two
+bridges x -> w and w -> x put x into the component of w. A bridge's own
+arc joins two nodes of the component it closes, so it is never walked
+and never stored.
+
+Every pick is ``rng.choice`` over a view of a mask's set bits in
+ascending order, with the length and the elements of the sorted list of
+those Or nodes, so the RNG makes the same calls with the same arguments
+as it would on the list, and every graph is the same.
 """
 
 from __future__ import annotations
@@ -108,36 +121,102 @@ def cyclic_or_fraction(graph: AttackGraph) -> float:
     return sum(1 for v in ors if v in on_cycle) / len(ors)
 
 
-class _Builder:
-    """The edge set of a graph being generated, and its Or-level arcs.
+class _Bits:
+    """The positions of the set bits of ``mask``, ascending, as a sequence:
+    ``rng.choice`` draws from it what it draws from their sorted list."""
 
-    ``up[t]`` and ``down[p]`` hold the Or-level arcs p => t, one for each
-    Or p that feeds an And that feeds Or t.
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __getitem__(self, k: int) -> int:
+        mask = self.mask
+        if not 0 <= k < mask.bit_count():
+            raise IndexError("bit index out of range")
+        # the fewest low bits that hold k + 1 set bits end at the k-th
+        lo, hi = 1, mask.bit_length()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (mask & ((1 << mid) - 1)).bit_count() > k:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo - 1
+
+
+class _Builder:
+    """The edge set of a graph being generated, and the condensation of its
+    Or-level arcs p => t, one for each Or p that feeds an And that feeds
+    Or t.
+
+    Or positions 0, 1, ... stand for the Or nodes in id order. A
+    union-find over them holds the strongly connected components of the
+    Or-level graph. A root r stands for its component: ``bits(r)`` has
+    a bit set for each member position, and ``up[r]``/``down[r]`` hold
+    positions in the components with an arc into or out of it, resolved
+    through ``find`` when read.
     """
 
-    def __init__(self):
+    def __init__(self, count: int):
         self.edges: set[tuple[int, int]] = set()
-        self.up: dict[int, set[int]] = {}
-        self.down: dict[int, set[int]] = {}
+        self.parent = list(range(count))
+        self.members: dict[int, int] = {}  # bits of the merged roots only
+        self.up: list[set[int]] = [set() for _ in range(count)]
+        self.down: list[set[int]] = [set() for _ in range(count)]
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def bits(self, root: int) -> int:
+        return self.members.get(root) or 1 << root
 
     def link(self, p: int, t: int) -> None:
-        """Add the arc p => t: Or p feeds an And whose Or child is t."""
-        self.down.setdefault(p, set()).add(t)
-        self.up.setdefault(t, set()).add(p)
+        """Add the arc p => t between Or positions not yet merged."""
+        self.down[p].add(t)
+        self.up[t].add(p)
 
     def reach(
-        self, start: int, arcs: dict[int, set[int]], within: set[int] | None = None
-    ) -> set[int]:
-        """``start`` and every Or node reachable from it along ``arcs``,
-        passing only through nodes of ``within`` when it is given."""
-        seen = {start}
-        frontier = [start]
+        self, start: int, arcs: list[set[int]], within: set[int] | None = None
+    ) -> tuple[int, set[int]]:
+        """The member bits and the roots of the component of ``start`` and
+        of every component reachable from it along ``arcs``, entering only
+        roots of ``within`` when it is given."""
+        find = self.find
+        root = find(start)
+        seen = {root}
+        frontier = [root]
+        bits = 0
         while frontier:
-            for w in arcs.get(frontier.pop(), ()):
-                if w not in seen and (within is None or w in within):
-                    seen.add(w)
-                    frontier.append(w)
-        return seen
+            r = frontier.pop()
+            bits |= self.bits(r)
+            arcs[r] = out = {find(s) for s in arcs[r]}
+            for s in out:
+                if s not in seen and (within is None or s in within):
+                    seen.add(s)
+                    frontier.append(s)
+        return bits, seen
+
+    def merge(self, roots: set[int]) -> int:
+        """Merge the components of ``roots`` into one; its member bits."""
+        up, down = self.up, self.down
+        keep = max(roots, key=lambda r: len(up[r]) + len(down[r]))
+        bits = 0
+        for r in roots:
+            bits |= self.members.pop(r, None) or 1 << r
+            if r != keep:
+                self.parent[r] = keep
+                up[keep] |= up[r]
+                down[keep] |= down[r]
+                up[r] = down[r] = None
+        self.members[keep] = bits
+        return bits
 
 
 def generate(params: GenParams) -> AttackGraph:
@@ -158,7 +237,8 @@ def generate(params: GenParams) -> AttackGraph:
     n_leaf, n_and, n_or = _counts(params.n, params.ratio)
     leaves = list(range(n_leaf))
     ands = list(range(n_leaf, n_leaf + n_and))
-    ors = list(range(n_leaf + n_and, params.n))
+    first = n_leaf + n_and
+    ors = list(range(first, params.n))
 
     target_or = math.ceil(params.cyclicity / 100.0 * n_or)
     if params.cyclicity > 0 and n_or < 2:
@@ -174,7 +254,7 @@ def generate(params: GenParams) -> AttackGraph:
     regular_ands = ands[: n_and - bridge_budget]
     reserve = ands[n_and - bridge_budget :]
 
-    b = _Builder()
+    b = _Builder(n_or)
     rng = random.Random(params.seed)
 
     ranked = list(ors)
@@ -191,15 +271,15 @@ def generate(params: GenParams) -> AttackGraph:
     for a, t in targets:
         if leaves:
             b.edges.add((rng.choice(leaves), a))
-        eligible = ranked[: rank[t]] if t >= 0 else []
+        eligible = rank[t] if t >= 0 else 0  # states ranked below t
         extra = rng.randint(0, params.max_parents - 1)
         for _ in range(extra):
             # privilege states chain through each other: prefer an existing
             # state as prerequisite when one is available
             if eligible and (not leaves or rng.random() < 0.5):
-                p = rng.choice(eligible)
+                p = ranked[rng.choice(range(eligible))]
                 b.edges.add((p, a))
-                b.link(p, t)
+                b.link(p - first, t - first)
             elif leaves:
                 b.edges.add((rng.choice(leaves), a))
         if t >= 0:
@@ -208,47 +288,46 @@ def generate(params: GenParams) -> AttackGraph:
     # Insert back-edges until enough Or nodes sit on directed cycles.
     next_bridge = 0
 
-    def add_bridge(src_or: int, dst_or: int) -> None:
+    def add_bridge(src: int, dst: int) -> None:
         nonlocal next_bridge
         if next_bridge >= len(reserve):
             raise InfeasibleError("cycle bridge budget exhausted")
         a = reserve[next_bridge]
         next_bridge += 1
-        b.edges.add((src_or, a))
+        b.edges.add((ors[src], a))
         if leaves:
             b.edges.add((rng.choice(leaves), a))
-        b.edges.add((a, dst_or))
-        b.link(src_or, dst_or)
+        b.edges.add((a, ors[dst]))
 
     # The base wiring is acyclic by rank, so no Or node starts on a cycle.
     # Besides x -> a and a -> y, a bridge And a has only an in-edge from a
     # parentless leaf, so every new cycle runs x -> a -> y ~> x and the
     # nodes a bridge puts on a cycle are desc(y) & anc(x): each covering
-    # walk starts at the end the loop has not walked and stays inside the
-    # side it has. Nodes on a cycle stay on one.
-    covered: set[int] = set()
-    while len(covered) < target_or:
-        uncovered = [v for v in ors if v not in covered]
-        x = rng.choice(uncovered)
-        anc = b.reach(x, b.up)
-        ancestors = sorted(anc - {x})
-        if ancestors:
-            y = rng.choice([v for v in ancestors if v not in covered] or ancestors)
+    # walk starts at the end the loop has not walked, stays inside the
+    # components the loop has, and merges the ones it visits. Nodes on a
+    # cycle stay on one. Positions and masks stand for Or nodes here.
+    everything = (1 << n_or) - 1
+    covered = 0
+    while covered.bit_count() < target_or:
+        uncovered = everything & ~covered
+        x = rng.choice(_Bits(uncovered))
+        others = ~(1 << x)
+        anc, roots = b.reach(x, b.up)
+        if anc & others:
+            y = rng.choice(_Bits(anc & others & ~covered or anc & others))
             add_bridge(x, y)
-            covered |= b.reach(y, b.down, anc)
+            covered |= b.merge(b.reach(y, b.down, roots)[1])
             continue
-        desc = b.reach(x, b.down)
-        descendants = sorted(desc - {x})
-        if descendants:
-            z = rng.choice([v for v in descendants if v not in covered] or descendants)
+        desc, roots = b.reach(x, b.down)
+        if desc & others:
+            z = rng.choice(_Bits(desc & others & ~covered or desc & others))
             add_bridge(z, x)
-            covered |= b.reach(z, b.up, desc)
+            covered |= b.merge(b.reach(z, b.up, roots)[1])
             continue
-        partners = [w for w in uncovered if w != x] or [w for w in ors if w != x]
-        w = rng.choice(partners)
+        w = rng.choice(_Bits(uncovered & others or everything & others))
         add_bridge(x, w)
         add_bridge(w, x)
-        covered |= b.reach(w, b.up, {x, w})
+        covered |= b.merge({b.find(x), b.find(w)})
 
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.

@@ -5,7 +5,9 @@
 The grid covers n in {30, 200, 1000} x cyclicity in {0, 40, 100} x seeds
 0-2, plus the benchmark size n=4000 x cyclicity in {40, 100} x seeds 0-1,
 n=4000 x cyclicity 100 at seeds 10007 and 10008 (the graphs of perfbench
-``--seed 1``), and one large graph, n=16000 x cyclicity 100 x seed 0.
+``--seed 1``), and two large graphs, n=16000 and n=32000 x cyclicity 100 x
+seed 0, where the bridge loop merges many cycles (the n=32000 digest was
+recorded with the node-level bridge loop, before the condensation).
 A change to the generator that alters any graph fails here. To re-record
 after an intended change, run ``PYTHONPATH=src python tests/test_golden_generate.py``.
 """
@@ -23,7 +25,7 @@ CYCLICITIES = (0, 40, 100)
 SEEDS = (0, 1, 2)
 GRID = [(n, c, s) for n in SIZES for c in CYCLICITIES for s in SEEDS] + [
     (4000, c, s) for c in (40, 100) for s in (0, 1)
-] + [(4000, 100, 10007), (4000, 100, 10008), (16000, 100, 0)]
+] + [(4000, 100, 10007), (4000, 100, 10008), (16000, 100, 0), (32000, 100, 0)]
 
 
 def digests(tmp: Path) -> dict[str, str]:

@@ -16,6 +16,10 @@ checkouts hold ``perfbench/run.py``. A run that prints no result line
 stops the tool with that run's exit code and the tail of its stderr; the
 sets finished before it are already in OUT.
 
+``--ladder 4000,16000`` also times ``generate`` in-process on each side,
+cyclicity 100, seed 0, three times per size in one fresh process, and
+keeps the times and the sha256 of each side's ``write_json`` bytes.
+
 Run from the repository root, with both checkouts as plain directories:
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json \\
@@ -23,12 +27,14 @@ Run from the repository root, with both checkouts as plain directories:
         --change "what the change does" --claim solve-cyclic:op_s_p50
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json --trace \\
         --runs generate-cyclic:0-2:generate-cyclic-traced
+    python3 tools/bench_pairs.py PARENT CHANGE OUT.json --ladder 4000,16000
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -36,6 +42,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LADDER = """
+import hashlib, sys, tempfile, time
+from pathlib import Path
+from cybag.formats import write_json
+from cybag.generator import GenParams, generate
+params = GenParams(n=int(sys.argv[1]), cyclicity=100, seed=0)
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    graph = generate(params)
+    times.append(time.perf_counter() - start)
+with tempfile.TemporaryDirectory() as tmp:
+    write_json(graph, Path(tmp) / "g.json")
+    print(*times, hashlib.sha256((Path(tmp) / "g.json").read_bytes()).hexdigest())
+"""
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
@@ -59,6 +80,14 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
             **values}
 
 
+def ladder_once(checkout: Path, n: int) -> tuple[list[float], str]:
+    proc = subprocess.run([sys.executable, "-c", LADDER, str(n)], cwd=checkout,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src")},
+                          capture_output=True, text=True, check=True)
+    *times, digest = proc.stdout.split()
+    return [round(float(t), 4) for t in times], digest
+
+
 def summary(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
     q1, _, q3 = statistics.quantiles(parent, n=4)
     wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
@@ -77,13 +106,19 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change_dir", type=Path)
     parser.add_argument("out", type=Path)
-    parser.add_argument("--runs", action="append", required=True,
+    parser.add_argument("--runs", action="append", default=[],
                         help="WORKLOAD:FIRST-LAST[:NAME], an inclusive seed range")
     parser.add_argument("--trace", action="store_true",
                         help="run --trace 1 and keep the per-layer metrics")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="WORKLOAD:METRIC the change claims")
+    parser.add_argument("--ladder", default="",
+                        help="N[,N...]: time generate in-process at these sizes")
     args = parser.parse_args()
+    if not args.runs and not args.ladder:
+        parser.error("give --runs, --ladder or both")
+    if not re.fullmatch(r"(\d+(,\d+)*)?", args.ladder):
+        parser.error(f"--ladder {args.ladder}: expected N[,N...]")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
     lower = {m["name"]: m["better"] == "lower"
@@ -138,6 +173,20 @@ def main() -> int:
                                     [r[metric] for r in runs["change"]], is_lower)
         workloads[name] = entry
         doc["machine"] = runs["change"][-1]["machine"]
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.ladder:
+        rows = []
+        for k, n in enumerate(int(x) for x in args.ladder.split(",")):
+            sides = [("parent", args.parent), ("change", args.change_dir)]
+            done = {side: ladder_once(checkout, n)
+                    for side, checkout in (sides if k % 2 == 0 else sides[::-1])}
+            row = {"n": n, "parent_s": done["parent"][0], "change_s": done["change"][0],
+                   "parent_sha256": done["parent"][1], "change_sha256": done["change"][1],
+                   "same_bytes": done["parent"][1] == done["change"][1]}
+            print("ladder", json.dumps(row), flush=True)
+            rows.append(row)
+        doc["ladder"] = {"command": "generate(GenParams(n, cyclicity=100, seed=0)) "
+                                    "in-process, 3 times per fresh process", "rows": rows}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
