@@ -129,14 +129,14 @@ def fixed_point(graph: AttackGraph, inst: Instantiation) -> tuple[CircuitState, 
         state = nxt
 
 
-def chunk_columns(n: int, cell_bytes: int, total: int) -> int:
-    """Instantiations per chunk for ``n`` nodes at ``cell_bytes`` per cell.
+def chunk_columns(n: int, total: int) -> int:
+    """Instantiations per chunk for ``n`` nodes at one byte per cell.
 
     The largest power of two whose cell matrix fits
     :data:`CHUNK_BUDGET_BYTES`, capped at ``total``. Raises
     :class:`TooLargeError` when not even one column fits.
     """
-    fit = CHUNK_BUDGET_BYTES // max(1, n * cell_bytes)  # an empty matrix fits any budget
+    fit = CHUNK_BUDGET_BYTES // max(1, n)  # an empty matrix fits any budget
     if fit < 1:
         raise TooLargeError(
             f"one instantiation of {n} nodes exceeds the "
@@ -222,7 +222,7 @@ def _chunks(d: DenseIndex, total: int, source) -> Iterator[tuple[int, int, list[
     """(first column, width, packed primed inputs) of each chunk of ``total``
     instantiations; ``source(start, m)`` gives the :func:`_primes` fill of
     the m columns from ``start``."""
-    width = chunk_columns(len(d.ids), 1, total)
+    width = chunk_columns(len(d.ids), total)
     for start in range(0, total, width):
         m = min(width, total - start)
         yield start, m, _primes(d, source(start, m), m)

@@ -39,10 +39,11 @@ bridges x -> w and w -> x put x into the component of w. A bridge's own
 arc joins two nodes of the component it closes, so it is never walked
 and never stored.
 
-Every pick is ``rng.choice`` over a view of a mask's set bits in
-ascending order, with the length and the elements of the sorted list of
-those Or nodes, so the RNG makes the same calls with the same arguments
-as it would on the list, and every graph is the same.
+Every pick from a mask draws an index with ``rng.choice(range(k))``
+over its k set bits and takes the set bit of that rank. ``rng.choice``
+draws the same index from any sequence of length k, so the RNG makes
+the same calls as it would on the sorted list of those Or nodes, picks
+the same one, and every graph is the same.
 """
 
 from __future__ import annotations
@@ -121,31 +122,18 @@ def cyclic_or_fraction(graph: AttackGraph) -> float:
     return sum(1 for v in ors if v in on_cycle) / len(ors)
 
 
-class _Bits:
-    """The positions of the set bits of ``mask``, ascending, as a sequence:
-    ``rng.choice`` draws from it what it draws from their sorted list."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int):
-        self.mask = mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __getitem__(self, k: int) -> int:
-        mask = self.mask
-        if not 0 <= k < mask.bit_count():
-            raise IndexError("bit index out of range")
-        # the fewest low bits that hold k + 1 set bits end at the k-th
-        lo, hi = 1, mask.bit_length()
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (mask & ((1 << mid) - 1)).bit_count() > k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo - 1
+def _bit_at(mask: int, k: int) -> int:
+    """The position of the k-th lowest set bit of ``mask``, for
+    0 <= k < ``mask.bit_count()``."""
+    # the fewest low bits that hold k + 1 set bits end at the k-th
+    lo, hi = 1, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1
 
 
 class _Builder:
@@ -286,18 +274,19 @@ def generate(params: GenParams) -> AttackGraph:
             b.edges.add((a, t))
 
     # Insert back-edges until enough Or nodes sit on directed cycles.
-    next_bridge = 0
+    bridges = iter(reserve)
 
     def add_bridge(src: int, dst: int) -> None:
-        nonlocal next_bridge
-        if next_bridge >= len(reserve):
+        a = next(bridges, None)
+        if a is None:
             raise InfeasibleError("cycle bridge budget exhausted")
-        a = reserve[next_bridge]
-        next_bridge += 1
         b.edges.add((ors[src], a))
         if leaves:
             b.edges.add((rng.choice(leaves), a))
         b.edges.add((a, ors[dst]))
+
+    def pick(mask: int) -> int:
+        return _bit_at(mask, rng.choice(range(mask.bit_count())))
 
     # The base wiring is acyclic by rank, so no Or node starts on a cycle.
     # Besides x -> a and a -> y, a bridge And a has only an in-edge from a
@@ -310,28 +299,28 @@ def generate(params: GenParams) -> AttackGraph:
     covered = 0
     while covered.bit_count() < target_or:
         uncovered = everything & ~covered
-        x = rng.choice(_Bits(uncovered))
+        x = pick(uncovered)
         others = ~(1 << x)
         anc, roots = b.reach(x, b.up)
         if anc & others:
-            y = rng.choice(_Bits(anc & others & ~covered or anc & others))
+            y = pick(anc & others & ~covered or anc & others)
             add_bridge(x, y)
             covered |= b.merge(b.reach(y, b.down, roots)[1])
             continue
         desc, roots = b.reach(x, b.down)
         if desc & others:
-            z = rng.choice(_Bits(desc & others & ~covered or desc & others))
+            z = pick(desc & others & ~covered or desc & others)
             add_bridge(z, x)
             covered |= b.merge(b.reach(z, b.up, roots)[1])
             continue
-        w = rng.choice(_Bits(uncovered & others or everything & others))
+        w = pick(uncovered & others or everything & others)
         add_bridge(x, w)
         add_bridge(w, x)
         covered |= b.merge({b.find(x), b.find(w)})
 
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.
-    for a in reserve[next_bridge:]:
+    for a in bridges:
         if leaves:
             b.edges.add((rng.choice(leaves), a))
         if ors:

@@ -51,9 +51,11 @@ class Node(namedtuple("Node", "id kind label local_prob")):
 
     def __new__(cls, id: int, kind: NodeKind, label: str = "", local_prob: float = 1.0):
         # a non-plain id or probability (a numpy scalar, say) is checked and converted
-        if type(id) is not int or type(local_prob) is not float:
+        if type(id) is not int or type(local_prob) is not float or type(kind) is not NodeKind:
             import numbers
 
+            if type(kind) is not NodeKind:
+                raise ValueError(f"node kind must be a NodeKind member, got {kind!r}")
             if type(id) is bool or not isinstance(id, numbers.Integral):
                 raise ValueError(f"node id must be an integer, got {id!r}")
             if type(local_prob) is bool or not isinstance(local_prob, numbers.Real):

@@ -290,21 +290,18 @@ def test_index_bits_pack_every_column_of_a_chunk(m):
 
 def test_chunk_plan():
     # small graphs keep every instantiation of the benchmark size in one chunk
-    assert chunk_columns(36, 1, 1 << 18) == 1 << 18
-    assert chunk_columns(36, 1, 1 << 24) == 1 << 20
+    assert chunk_columns(36, 1 << 18) == 1 << 18
+    assert chunk_columns(36, 1 << 24) == 1 << 20
     # 900 nodes with 20 fractional inputs: the cell matrix stays in budget
-    width = chunk_columns(900, 1, 1 << 20)
+    width = chunk_columns(900, 1 << 20)
     assert width == 1 << 16
     assert 900 * width <= CHUNK_BUDGET_BYTES < 900 * 2 * width
-    assert chunk_columns(900, 2, 1 << 20) == 1 << 15
-    assert chunk_columns(CHUNK_BUDGET_BYTES, 1, 1 << 20) == 1
+    assert chunk_columns(CHUNK_BUDGET_BYTES, 1 << 20) == 1
 
 
 def test_chunk_plan_refuses_a_column_over_budget():
     with pytest.raises(TooLargeError):
-        chunk_columns(CHUNK_BUDGET_BYTES + 1, 1, 2)
-    with pytest.raises(TooLargeError):
-        chunk_columns(CHUNK_BUDGET_BYTES // 8 + 1, 8, 1)
+        chunk_columns(CHUNK_BUDGET_BYTES + 1, 2)
 
 
 def test_chunked_enumeration_and_sampling_agree(monkeypatch):

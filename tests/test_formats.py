@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -30,6 +31,21 @@ FIXTURES = [
     "type3.json",
     "wang-acyclic.json",
 ]
+# not graphs: a plain bipartite graph and a CVSS feed, each as indented JSON
+DOCUMENTS = ["wang-plain.json", "nvd-feed.json"]
+# the committed files are the fixtures' only source; an edit to one is
+# deliberate, like re-recording a golden, and updates its digest here
+FIXTURE_SHA256 = {
+    "diamond.json": "4737d8892600c016fdd5caf6177c38ccd44375905ab91fcc40597aeb20872f12",
+    "fig5.json": "3d8087b2e28d7756fc93e255f4b444ec2f3edc69180937282f2dea5e4781c674",
+    "nvd-feed.json": "216c31f08953df9ce8de7d31098cb5c1ce0b5c4c7c90de5f52e94fae06c77e13",
+    "running-example.json": "6e74e5b0b03891369777ae4af780720a5b6b6c4814670da6a89dbe18f5b5c7b1",
+    "type1.json": "81f8ac9b010270ac6016a432cc3e4cf75b73a83057ba5a197b7603bf0b02883e",
+    "type2.json": "79c6d2d3ca7898d80d61bd64a35929ff39c7c6ad142ad801a00d46a878d65526",
+    "type3.json": "35af08f41af75dde26d9813ad287d9c62fd5899473f9d83e6a9d08e22ed84f14",
+    "wang-acyclic.json": "902823129e6ab3c75a6cc9cd511afa004360e9136e48f695a68a4b029e1a421e",
+    "wang-plain.json": "6ee41582a6fd474f7aec062f48a054f6367c316e20e5f68bd9e5316645553157",
+}
 
 
 def test_bundled_fixtures_load():
@@ -38,12 +54,29 @@ def test_bundled_fixtures_load():
         assert len(g.nodes) > 0
 
 
+def test_fixture_directory_holds_exactly_the_pinned_files():
+    bundled = fixture_path("fig5.json").parent
+    assert sorted(FIXTURE_SHA256) == sorted(FIXTURES + DOCUMENTS)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundled.iterdir()}
+    assert digests == FIXTURE_SHA256
+
+
 def test_round_trip_fixtures(tmp_path):
+    """Each graph fixture is written exactly as ``write_json`` writes it,
+    with its own notes."""
     for name in FIXTURES:
+        data = fixture_path(name).read_bytes()
         g = load_fixture(name)
         out = tmp_path / name
-        write_json(g, out)
+        write_json(g, out, json.loads(data).get("notes"))
+        assert out.read_bytes() == data, name
         assert read_json(out) == g
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_document_fixtures_are_indented_json(name):
+    data = fixture_path(name).read_bytes()
+    assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
 
 
 def test_round_trip_generated_graphs(tmp_path):

@@ -196,29 +196,32 @@ def test_tracked_coverage_equals_scc_coverage_after_every_bridge(params):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**700) | st.integers(0, 2**12))
+def test_bit_at_is_the_sorted_positions(mask):
+    positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    assert [generator._bit_at(mask, k) for k in range(mask.bit_count())] == positions
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**700) | st.integers(0, 2**12),
     st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
 )
-def test_bit_view_is_the_sorted_positions(mask, seeds):
-    """The picks draw from ``_Bits`` what they drew from sorted lists."""
-    view = generator._Bits(mask)
+def test_choice_over_range_picks_what_choice_over_the_positions_picks(mask, seeds):
+    """A pick draws its rank with ``rng.choice(range(k))``: the same draws,
+    and so the same element, as ``rng.choice`` over the sorted positions."""
     positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    assert len(view) == mask.bit_count() == len(positions)
-    assert list(view) == positions
-    for k in (-1, len(positions)):
-        with pytest.raises(IndexError):
-            view[k]
     for s in seeds:
+        by_rank, by_list = random.Random(s), random.Random(s)
         if positions:
-            assert random.Random(s).choice(view) == random.Random(s).choice(positions)
+            rank = by_rank.choice(range(len(positions)))
+            assert positions[rank] == by_list.choice(positions)
         else:
             with pytest.raises(IndexError):
-                random.Random(s).choice(view)
-
-
-def test_bit_view_of_empty_mask():
-    assert len(generator._Bits(0)) == 0 and list(generator._Bits(0)) == []
+                by_rank.choice(range(0))
+            with pytest.raises(IndexError):
+                by_list.choice(positions)
+        assert by_rank.getstate() == by_list.getstate()
 
 
 def test_bridge_walks_visit_components_not_nodes():

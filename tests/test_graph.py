@@ -32,6 +32,17 @@ def test_node_rejects_negative_id():
         Node(-1, L)
 
 
+@pytest.mark.parametrize("kind", ["and", None, 1])
+def test_node_rejects_a_kind_that_is_not_a_member(kind):
+    # the engines would disagree on a stray kind: solve_all reads "and" as an
+    # Or, reachability_exact as an And
+    with pytest.raises(ValueError, match="NodeKind member"):
+        Node(2, kind, "c", 1.0)
+    with pytest.raises(ValueError, match="NodeKind member"):
+        Node(2, A, "c", 1.0)._replace(kind=kind)
+    assert Node(2, A, "c", 1.0)._replace(kind=O).kind is O
+
+
 @pytest.mark.parametrize(
     "record, field",
     [
