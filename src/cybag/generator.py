@@ -143,10 +143,10 @@ class _Builder:
 
     Or positions 0, 1, ... stand for the Or nodes in id order. A
     union-find over them holds the strongly connected components of the
-    Or-level graph. A root r stands for its component: ``bits(r)`` has
-    a bit set for each member position, and ``up[r]``/``down[r]`` hold
-    positions in the components with an arc into or out of it, resolved
-    through ``find`` when read.
+    Or-level graph. A root r stands for its component: its member bits
+    are ``members[r]``, or ``1 << r`` while it has merged nothing, and
+    ``up[r]``/``down[r]`` hold the roots of the components with an arc
+    into or out of it.
     """
 
     def __init__(self, count: int):
@@ -162,9 +162,6 @@ class _Builder:
             parent[i] = i = parent[parent[i]]
         return i
 
-    def bits(self, root: int) -> int:
-        return self.members.get(root) or 1 << root
-
     def link(self, p: int, t: int) -> None:
         """Add the arc p => t between Or positions not yet merged."""
         self.down[p].add(t)
@@ -176,23 +173,26 @@ class _Builder:
         """The member bits and the roots of the component of ``start`` and
         of every component reachable from it along ``arcs``, entering only
         roots of ``within`` when it is given."""
-        find = self.find
-        root = find(start)
+        members = self.members
+        root = self.find(start)
         seen = {root}
         frontier = [root]
         bits = 0
         while frontier:
             r = frontier.pop()
-            bits |= self.bits(r)
-            arcs[r] = out = {find(s) for s in arcs[r]}
-            for s in out:
+            bits |= members.get(r) or 1 << r
+            for s in arcs[r]:
                 if s not in seen and (within is None or s in within):
                     seen.add(s)
                     frontier.append(s)
         return bits, seen
 
     def merge(self, roots: set[int]) -> int:
-        """Merge the components of ``roots`` into one; its member bits."""
+        """Merge the components of ``roots`` into one; its member bits.
+
+        The root kept is the one with the most arcs; every neighbour of
+        an absorbed root has its arc redirected to it, so arcs always
+        join distinct roots."""
         up, down = self.up, self.down
         keep = max(roots, key=lambda r: len(up[r]) + len(down[r]))
         bits = 0
@@ -200,9 +200,15 @@ class _Builder:
             bits |= self.members.pop(r, None) or 1 << r
             if r != keep:
                 self.parent[r] = keep
-                up[keep] |= up[r]
-                down[keep] |= down[r]
-                up[r] = down[r] = None
+                for arcs, back in ((up, down), (down, up)):
+                    for s in arcs[r]:
+                        if s not in roots:
+                            back[s].remove(r)
+                            back[s].add(keep)
+                    arcs[keep] |= arcs[r]
+                    arcs[r] = None
+        up[keep] -= roots
+        down[keep] -= roots
         self.members[keep] = bits
         return bits
 

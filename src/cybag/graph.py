@@ -28,6 +28,7 @@ from collections import namedtuple
 from collections.abc import Container, Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import CycleLimitError, PlainCycleError, UnknownNodeError
 
@@ -83,8 +84,16 @@ class AttackGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda n: n.id)))
-        object.__setattr__(self, "edges", tuple(sorted((int(a), int(b)) for a, b in edges)))
+        # sorted() on ascending input is one pass of comparisons in C,
+        # cheaper than checking the order first; the int conversion runs
+        # only when some edge is not a tuple of two plain ints
+        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=attrgetter("id"))))
+        edges = tuple(edges)
+        if not all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges
+        ):
+            edges = [(int(a), int(b)) for a, b in edges]
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: AttackGraph is immutable")

@@ -340,3 +340,30 @@ def test_graph_is_canonically_ordered():
     assert [n.id for n in g.nodes] == [0, 1, 2]
     assert g.edges == ((0, 2), (1, 2))
     assert g.parents[2] == (0, 1)
+
+
+def test_non_canonical_input_gives_the_canonical_graph():
+    import numpy as np
+
+    canonical = generate(GenParams(n=200, cyclicity=40, seed=1))
+    nodes = list(canonical.nodes)
+    edges = list(canonical.edges)
+    shuffled = nodes[1::2] + nodes[::2][::-1]
+    for g in (
+        AttackGraph(shuffled, edges),
+        AttackGraph(nodes, [(np.int64(a), np.int32(b)) for a, b in edges]),
+        AttackGraph(nodes, [[a, b] for a, b in reversed(edges)]),
+        AttackGraph(iter(shuffled), (e for e in edges[::-1])),
+    ):
+        assert g.nodes == canonical.nodes and g.edges == canonical.edges
+        assert g == canonical and hash(g) == hash(canonical)
+        assert all(type(v) is int for e in g.edges for v in e)
+    assert AttackGraph(nodes, [(True, 2)]).edges == ((1, 2),)
+    assert type(AttackGraph(nodes, [(True, 2)]).edges[0][0]) is int
+    twice = edges[:3] + edges[:3][::-1] + edges[3:]
+    duplicated = AttackGraph(shuffled, twice)
+    assert duplicated.nodes == canonical.nodes
+    assert duplicated.edges == tuple(sorted(twice))
+    assert duplicated == AttackGraph(nodes, sorted(twice))
+    assert hash(duplicated) == hash(AttackGraph(nodes, sorted(twice)))
+    assert duplicated != canonical

@@ -16,6 +16,11 @@ checkouts hold ``perfbench/run.py``. A run that prints no result line
 stops the tool with that run's exit code and the tail of its stderr; the
 sets finished before it are already in OUT.
 
+Untraced runs also keep the median scaled seconds of each command label,
+``circuit:*`` for the commands labelled ``circuit:0``, ``circuit:1``, ...,
+read from the run's samples in ``.perfbench/out/<workload>-seed<N>-trace0.json``,
+so a set whose workload mixes commands shows which of them moved.
+
 ``--ladder 4000,16000`` also times ``generate`` in-process on each side,
 cyclicity 100, seed 0, three times per size in one fresh process, and
 keeps the times and the sha256 of each side's ``write_json`` bytes.
@@ -76,8 +81,21 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     values = {name: entry["value"] for name, entry in last["metrics"].items()}
     machine = (f"{env['nproc']}-CPU {env['cpu_model']}; "
                f"Python {env['python']}, numpy {env['numpy']}")
-    return {"machine": machine, "failed": last["failed"], "attempted": last["attempted"],
-            **values}
+    result = {"machine": machine, "failed": last["failed"], "attempted": last["attempted"],
+              **values}
+    if not trace:
+        result["commands"] = command_medians(
+            checkout / ".perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
+    return result
+
+
+def command_medians(path: Path) -> dict[str, float]:
+    """Median scaled seconds per command label of one untraced run."""
+    scaled: dict[str, list[float]] = {}
+    for sample in json.loads(path.read_text())["results"][0]["samples"]:
+        label = sample["label"].partition(":")[0] + ":*"
+        scaled.setdefault(label, []).append(sample["seconds"] * sample["scale"])
+    return {label: statistics.median(times) for label, times in sorted(scaled.items())}
 
 
 def ladder_once(checkout: Path, n: int) -> tuple[list[float], str]:
@@ -151,7 +169,8 @@ def main() -> int:
         "method": "alternating parent/change pairs, the side that runs first alternating "
                   "from seed to seed; one perfbench run per side and seed; values are the "
                   "run's end-to-end metrics (times scaled to the reference speed, see "
-                  "perfbench/run.py REF_PROGRAM), or its per-layer metrics (times not "
+                  "perfbench/run.py REF_PROGRAM) with, under commands, the median scaled "
+                  "seconds per command label, or its per-layer metrics (times not "
                   "scaled) in sets with trace 1",
     })
     if args.claim:
@@ -171,6 +190,12 @@ def main() -> int:
         for metric, is_lower in lower.items():
             entry[metric] = summary([r[metric] for r in runs["parent"]],
                                     [r[metric] for r in runs["change"]], is_lower)
+        if not args.trace:
+            entry["commands"] = {
+                label: summary([r["commands"][label] for r in runs["parent"]],
+                               [r["commands"][label] for r in runs["change"]], True)
+                for label in runs["parent"][0]["commands"]
+            }
         workloads[name] = entry
         doc["machine"] = runs["change"][-1]["machine"]
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
