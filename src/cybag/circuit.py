@@ -14,16 +14,12 @@ reference semantics.
 The engine evaluates many instantiations at once. A chunk of m
 instantiations holds one Python int per node whose bit c belongs to
 instantiation c, so a gate is a few bitwise operations over all m of them
-(bit-parallel simulation). Two runs share that gate:
-
-* The least fixed point takes a single pass over the strongly connected
-  components of the graph in topological order of their condensation. A
-  node on no cycle is evaluated once from its finished parents; the
-  members of a cyclic component are swept until a sweep changes nothing.
-* The trajectory is :func:`step` itself, run from all-off over every
-  column at once. A tick re-evaluates only the children of the nodes that
-  changed in the tick before, and the run stops when nothing changes; a
-  bit that turns on at tick t is its node's first hit in that column.
+(bit-parallel simulation). One run drives that gate: the trajectory,
+:func:`step` itself run from all-off over every column at once. A tick
+re-evaluates only the children of the nodes that changed in the tick
+before, and the run stops when nothing changes. A bit that turns on at
+tick t is its node's first hit in that column, and the last state is the
+least fixed point.
 
 The probability that a node is ever reached is then a reachability
 probability over instantiations of the primed inputs. It is computed
@@ -54,7 +50,8 @@ MC_SAMPLE_LIMIT = 1 << 32
 # Bytes one chunk's cell matrix may take, at a byte per cell. Graphs of
 # up to 64 nodes get 2^20 columns per chunk.
 CHUNK_BUDGET_BYTES = 64 << 20
-# one tick of a packed trajectory: the state, and (row, bits turned on)
+# one tick of a packed trajectory: the state, and (row, new state) of each
+# row that changed
 Tick = tuple[list[int], list[tuple[int, int]]]
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to compress() flags
 
@@ -162,31 +159,10 @@ def _gate_bits(d: DenseIndex, cells: list[int], i: int, prime: int) -> int:
     return prime
 
 
-def _evaluate(d: DenseIndex, cells: list[int]) -> list[int]:
-    """Replace each row's primed input in ``cells`` by its least-fixed-point
-    bits, in one pass over ``d.blocks``, and return ``cells``."""
-    for members, cyclic in d.blocks:
-        if not cyclic:
-            cells[members[0]] = _gate_bits(d, cells, members[0], cells[members[0]])
-            continue
-        primes = [cells[i] for i in members]
-        for i in members:
-            cells[i] = 0
-        changed = True
-        while changed:
-            changed = False
-            for prime, i in zip(primes, members):
-                new = _gate_bits(d, cells, i, prime)
-                if new != cells[i]:
-                    cells[i] = new
-                    changed = True
-    return cells
-
-
 def _trajectory(d: DenseIndex, primes: list[int]) -> Iterator[Tick]:
     """The :func:`step` trajectory from all-off over packed columns: per
-    tick, the state after it and (row, bits that turned on) for each row
-    that changed. The state only grows, and the run stops when it repeats."""
+    tick, the state after it and (row, new state) for each row that
+    changed. The state only grows, and the run stops when it repeats."""
     children: list[list[int]] = [[] for _ in primes]
     for i, ps in enumerate(d.parents):
         for p in ps:
@@ -194,14 +170,21 @@ def _trajectory(d: DenseIndex, primes: list[int]) -> Iterator[Tick]:
     cells = [0] * len(primes)
     todo: Iterable[int] = range(len(primes))
     while True:
-        new = [(i, _gate_bits(d, cells, i, primes[i])) for i in todo]
-        on = [(i, bits ^ cells[i]) for i, bits in new if bits != cells[i]]
+        on = [(i, s) for i in todo if (s := _gate_bits(d, cells, i, primes[i])) != cells[i]]
         if not on:
             return
-        for i, bits in on:
-            cells[i] |= bits
+        for i, s in on:
+            cells[i] = s
         yield cells, on
         todo = {c for i, _ in on for c in children[i]}
+
+
+def _least_fixed_point(d: DenseIndex, primes: list[int]) -> list[int]:
+    """Every row's least-fixed-point bits: the trajectory's last state."""
+    cells = [0] * len(primes)  # all off when nothing turns on
+    for cells, _ in _trajectory(d, primes):
+        pass
+    return cells
 
 
 def _primes(d: DenseIndex, fill, m: int) -> list[int]:
@@ -275,7 +258,7 @@ def enumerate_trajectories(
     """The trajectory of every instantiation of the fractional inputs, per
     chunk: the chunk's first enumeration index and its bit-parallel
     :func:`step` run, which yields per tick the state (bit c is index
-    start + c) and the rows that turned on with their new bits. Raises
+    start + c) and the rows that changed with their new state. Raises
     :class:`TooLargeError` past ``limit`` fractional inputs."""
     d = graph.dense
     for start, _, primes in _enumerate(d, limit, "classification"):
@@ -310,7 +293,7 @@ def reachability_exact(graph: AttackGraph, v: int) -> ReachEstimate:
         while len(weights) < part:
             p = fractional[len(weights).bit_length() - 1]
             weights = [w * f for f in (1.0 - p, p) for w in weights]
-        on = bin(_evaluate(d, cells)[row])[:1:-1].encode().translate(_BIT_FLAGS)
+        on = bin(_least_fixed_point(d, cells)[row])[:1:-1].encode().translate(_BIT_FLAGS)
         parts = []
         for s in range(0, m, part):
             picked = compress(weights, on[s : s + part])  # byte c of ``on`` is bit c
@@ -356,7 +339,7 @@ def reachability_mc(
         return fill
 
     chunks = _chunks(d, samples, draw)
-    hits = sum(_evaluate(d, cells)[row].bit_count() for _, _, cells in chunks)
+    hits = sum(_least_fixed_point(d, cells)[row].bit_count() for _, _, cells in chunks)
     phat = hits / samples
     std_error = math.sqrt(phat * (1.0 - phat) / samples)
     return ReachEstimate(phat, "monte-carlo", samples, std_error)

@@ -11,18 +11,18 @@ carry a witness: the instantiation, the early cycle node, and the tick at
 which it was already on.
 
 Type 1 needs no enumeration: the least fixed point is monotone in the
-primed inputs, so one evaluation with every input of probability > 0
-switched on shows which nodes can ever turn on. The Type 2/3 split
-quantifies over all instantiations (sampling could not certify the
-universal case), so :func:`classify_cycles` enumerates them in order,
-once, on graphs with at most ``CLASSIFY_ENUM_LIMIT`` fractional inputs.
-Each chunk of instantiations runs the synchronous trajectory
-bit-parallel, and each cycle node collects the bits that turn on while
-the target's bit is still off; those whose target does turn on are
-early. The enumeration stops as soon as every cycle that is not Type 1
-has a witness, and enumerates nothing when all are Type 1. A witness's
-tick comes from a run of its one instantiation. :func:`classify_cycle`
-and :func:`classify_all` are thin wrappers over it.
+primed inputs, so one run with every input of probability > 0 switched
+on shows which nodes can ever turn on. The Type 2/3 split quantifies
+over all instantiations (sampling could not certify the universal case),
+so :func:`classify_cycles` enumerates them in order, once, on graphs with
+at most ``CLASSIFY_ENUM_LIMIT`` fractional inputs. Each chunk of
+instantiations runs the synchronous trajectory bit-parallel, and each
+cycle node collects the bits that are on while the target's bit is off;
+those whose target does turn on are early. The enumeration stops as soon
+as every cycle that is not Type 1 has a witness, and enumerates nothing
+when all are Type 1. A witness's tick comes from a run of its one
+instantiation. :func:`classify_cycle` and :func:`classify_all` are thin
+wrappers over it.
 """
 
 from __future__ import annotations

@@ -279,7 +279,8 @@ def generate(params: GenParams) -> AttackGraph:
         if t >= 0:
             b.edges.add((a, t))
 
-    # Insert back-edges until enough Or nodes sit on directed cycles.
+    # Insert back-edges until enough Or nodes sit on directed cycles. Reserve
+    # slots exist only at cyclicity > 0, which needs leaves and two Or nodes.
     bridges = iter(reserve)
 
     def add_bridge(src: int, dst: int) -> None:
@@ -287,8 +288,7 @@ def generate(params: GenParams) -> AttackGraph:
         if a is None:
             raise InfeasibleError("cycle bridge budget exhausted")
         b.edges.add((ors[src], a))
-        if leaves:
-            b.edges.add((rng.choice(leaves), a))
+        b.edges.add((rng.choice(leaves), a))
         b.edges.add((a, ors[dst]))
 
     def pick(mask: int) -> int:
@@ -327,10 +327,8 @@ def generate(params: GenParams) -> AttackGraph:
     # Unused reserve slots become ordinary actions; wired from fresh leaves
     # only, they cannot close new cycles.
     for a in bridges:
-        if leaves:
-            b.edges.add((rng.choice(leaves), a))
-        if ors:
-            b.edges.add((a, rng.choice(ors)))
+        b.edges.add((rng.choice(leaves), a))
+        b.edges.add((a, rng.choice(ors)))
 
     nodes = [
         Node(v, NodeKind.LEAF, f"fact{v}", rng.choice(LEAF_PROB_PALETTE))

@@ -10,7 +10,6 @@ from cybag.circuit import (
     CHUNK_BUDGET_BYTES,
     CircuitState,
     Instantiation,
-    _evaluate,
     _index_bits,
     _trajectory,
     chunk_columns,
@@ -211,22 +210,33 @@ def test_exact_well_defined_on_cyclic_fixtures():
 
 
 def assert_engine_matches_reference(g):
-    """Every instantiation of every primed input, all in one engine run per
-    mode: bit c of row i's packed input is bit i of instantiation c."""
+    """Every instantiation of every primed input, all in one engine run:
+    bit c of row i's packed input is bit i of instantiation c. At every
+    tick the packed state equals :func:`step`'s state in every column."""
     c = g.dense
     n = len(c.ids)
     cols = range(1 << n)
     primes = [sum(1 << k for k in cols if k >> i & 1) for i in range(n)]
-    values = _evaluate(c, list(primes))
+    insts = [Instantiation({v: primes[i] >> k & 1 for i, v in enumerate(c.ids)}) for k in cols]
+    states = [CircuitState({v: 0 for v in c.ids}, 0) for _ in cols]
     ticks = [[None] * len(cols) for _ in range(n)]
-    for tick, (_, on) in enumerate(_trajectory(c, primes), 1):
-        for i, bits in on:
+    previous = [0] * n
+    for tick, (cells, on) in enumerate(_trajectory(c, primes), 1):
+        states = [step(g, state, inst) for state, inst in zip(states, insts)]
+        for k, state in enumerate(states):
+            assert {v: cells[i] >> k & 1 for i, v in enumerate(c.ids)} == state.values
+        # each row that changed, once, with its new state
+        assert sorted(i for i, _ in on) == [i for i in range(n) if cells[i] != previous[i]]
+        for i, now in on:
+            assert now == cells[i]
+            turned = now & ~previous[i]
             for k in cols:
-                if bits >> k & 1:
+                if turned >> k & 1:
                     assert ticks[i][k] is None, "a bit turned on twice"
                     ticks[i][k] = tick
-    for k in cols:
-        inst = Instantiation({v: primes[i] >> k & 1 for i, v in enumerate(c.ids)})
+        previous = list(cells)
+    values = circuit._least_fixed_point(c, primes)
+    for k, inst in enumerate(insts):
         ref_values, ref_hits = reference_run(g, inst)
         assert ref_values == dict(fixed_point(g, inst)[0].values)
         assert {v: values[i] >> k & 1 for i, v in enumerate(c.ids)} == ref_values
@@ -259,6 +269,7 @@ def test_engine_matches_step_semantics(g, data):
             [Node(0, L, "", 0.5)] + [Node(v, O, "", 0.5) for v in range(1, 7)],
             [(0, 1)] + [(v, v + 1) for v in range(1, 6)] + [(6, 1)],
         ),
+        ([Node(0, O, "", 0.5)], []),  # nothing ever turns on
     ],
 )
 def test_engine_edge_cases(nodes, edges):
@@ -398,14 +409,14 @@ def test_reachability_mc_draws_straight_into_the_cells(monkeypatch):
     g = AttackGraph([Node(0, L, "", 0.5)], [])
     whole = reachability_mc(g, 0, 1 << 16, 5)
     monkeypatch.setattr(circuit, "CHUNK_BUDGET_BYTES", 1 << 16)
-    evaluate = circuit._evaluate
+    least_fixed_point = circuit._least_fixed_point
     filled = []
 
     def spy(d, cells):
         filled.append(tracemalloc.get_traced_memory()[1])
-        return evaluate(d, cells)
+        return least_fixed_point(d, cells)
 
-    monkeypatch.setattr(circuit, "_evaluate", spy)
+    monkeypatch.setattr(circuit, "_least_fixed_point", spy)
     tracemalloc.start()
     try:
         split = reachability_mc(g, 0, 1 << 16, 5)
@@ -417,6 +428,15 @@ def test_reachability_mc_draws_straight_into_the_cells(monkeypatch):
     # that takes the next piece, and one piece of floats, never a row of
     # 2^16 bools
     assert filled[0] < 1 << 15
+
+
+def test_reachability_never_builds_the_components():
+    # the least fixed point is the trajectory's last state: no pass over
+    # DenseIndex.blocks, so no Tarjan run, even on a cyclic graph
+    g = load_fixture("running-example.json")
+    reachability_exact(g, 14)
+    reachability_mc(g, 14, 1 << 10, 0)
+    assert "parents" in g.dense.__dict__ and "blocks" not in g.dense.__dict__
 
 
 def test_reachability_mc_rejects_zero_samples():

@@ -1,9 +1,11 @@
+import argparse
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from cybag.cli import run
+from cybag.cli import build_parser, run
 from cybag.formats import fixture_path, load_fixture, read_json, write_json
 from cybag.graph import NodeKind
 
@@ -531,3 +533,20 @@ def test_negative_zero_probability_prints_as_zero(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["solve", "--in", str(path)]) == 0
     assert capsys.readouterr().out == "0\t0.000000\n1\t0.000000\n"
+
+
+def test_readme_synopsis_lists_every_long_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synopsis = {
+        line.split()[1]: {word.strip("[]") for word in line.split()}
+        for line in readme.splitlines()
+        if line.startswith("cybag ")
+    }
+    (commands,) = (
+        a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, parser in commands.items():
+        options = {
+            o for a in parser._actions for o in a.option_strings if o.startswith("--")
+        } - {"--help"}
+        assert options <= synopsis[name], (name, sorted(options - synopsis[name]))

@@ -2,8 +2,9 @@
 
 ``golden_cli.json`` maps each command line (fixture name in place of the
 path) to its stdout. The ``circuit`` and ``cycles`` outputs were recorded
-before the circuit engine moved from synchronous sweeps to the
-condensation-order pass; the ``solve``, ``compare`` and ``ve`` outputs on
+before the circuit engine moved from synchronous sweeps to a
+condensation-order pass, and held again when that pass gave way to the
+trajectory's last state; the ``solve``, ``compare`` and ``ve`` outputs on
 the acyclic fixtures before the CLI's result rows got one writer; the
 multi-chunk ``circuit --mc`` outputs on a generated graph before
 enumeration and sampling shared one chunk loop. Any engine or CLI change
