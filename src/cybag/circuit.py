@@ -163,10 +163,7 @@ def _trajectory(d: DenseIndex, primes: list[int]) -> Iterator[Tick]:
     """The :func:`step` trajectory from all-off over packed columns: per
     tick, the state after it and (row, new state) for each row that
     changed. The state only grows, and the run stops when it repeats."""
-    children: list[list[int]] = [[] for _ in primes]
-    for i, ps in enumerate(d.parents):
-        for p in ps:
-            children[p].append(i)
+    children = d.children
     cells = [0] * len(primes)
     todo: Iterable[int] = range(len(primes))
     while True:

@@ -6,10 +6,10 @@ formalisms the model deliberately admits directed cycles; the solvers in
 :mod:`cybag.propagate` and :mod:`cybag.circuit` are built to handle them.
 
 :attr:`AttackGraph.dense` is the one dense-index view every engine reads:
-nodes as rows, their :class:`NodeKind`, parent rows and the condensation
-into strongly connected components, each built on first use and cached
-on the graph. :func:`edge_issue` holds the edge rules of :func:`validate`
-and of every reader in :mod:`cybag.formats`.
+nodes as rows, their :class:`NodeKind`, parent and child rows and the
+condensation into strongly connected components, each built on first use
+and cached on the graph. :func:`edge_issue` holds the edge rules of
+:func:`validate` and of every reader in :mod:`cybag.formats`.
 
 The records (:class:`Node`, :class:`CyclePath`, :class:`Issue`) are
 ``collections.namedtuple`` subclasses without a ``__dict__``: a checked
@@ -157,7 +157,7 @@ class DenseIndex:
     ``probs`` local probabilities and ``parents`` the ascending, distinct
     parent rows of each row, built in one pass over the sorted edges
     (skipping unknown ends) on first use, so that node lookups never pay
-    for them.
+    for them; ``children`` is their transpose, built on first use too.
     """
 
     def __init__(self, graph: AttackGraph):
@@ -178,6 +178,15 @@ class DenseIndex:
                 if not ps or ps[-1] != p:
                     ps.append(p)
         return [tuple(ps) for ps in rows]
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        # rows are read in ascending order, so each row's children ascend
+        rows: list[list[int]] = [[] for _ in self.ids]
+        for i, ps in enumerate(self.parents):
+            for p in ps:
+                rows[p].append(i)
+        return rows
 
     def row(self, v: int) -> int:
         """Row of node ``v``; raises :class:`UnknownNodeError` if absent."""

@@ -29,6 +29,11 @@ gives its stored value, which the recursion would recompute mark for
 mark, and every other row gets a frame. So both agree bit for
 bit with the rooted recursion written out plainly in the tests, the
 oracle.
+In either, a frame whose running product reaches exactly 0.0 is
+*saturated*: every later factor lies in [0, 1], so the product stays 0.0
+bit for bit, and the frame's remaining reads, with every frame they would
+push, run in a mark-only loop that leaves the same marks and does no
+float arithmetic.
 :func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
 
 Recursion is realized with one explicit stack, so graphs with tens of
@@ -73,6 +78,15 @@ def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
     marked (see :func:`solve_all`). Every other unmarked row is marked and
     gets a frame that starts from ``start[row]`` and walks the parent rows
     ``tail[row]``.
+
+    Once a frame's ``acc`` is 0.0 after a multiply, the frame is
+    saturated: every contribution and every complement lies in [0, 1], so
+    each later product is 0.0 again. Its remaining reads then run in a
+    mark-only loop over a stack of parent iterators: the same reads in
+    the same order, the same visited test and exit rule, the same marks
+    and ``vsrc``, and no arithmetic. Those marks are what later reads
+    see, so the loop runs to the end, in the origin's frame too (the visit
+    count of :func:`solve_node_stats` is the number of marks).
     """
     # The current frame lives in locals, suspended frames on the stack.
     # For And rows ``acc`` is the running product of contributions, for
@@ -81,6 +95,15 @@ def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
     if cones:
         blk, blocks, up, srcmask, values = cones
         b, vsrc = blk[origin], 0
+
+        def mark(c):  # an exit's cone: its blocks, marked as they are found
+            todo = [c]
+            for c in todo:
+                if not visited[blocks[c][0][0]]:
+                    for r in blocks[c][0]:
+                        visited[r] = 1
+                    todo += up[c]
+
     stack = []
     while True:
         if i < len(ps):
@@ -91,12 +114,7 @@ def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
             elif cones and blk[u] != b and not (m := srcmask[blk[u]]) & vsrc:
                 contrib = values[u]
                 if m:
-                    todo = [blk[u]]
-                    for c in todo:  # the cone's blocks, marked as they are found
-                        if not visited[blocks[c][0][0]]:
-                            for r in blocks[c][0]:
-                                visited[r] = 1
-                            todo += up[c]
+                    mark(blk[u])
                     vsrc |= m
             else:
                 visited[u] = 1
@@ -109,6 +127,28 @@ def _walk(origin, visited, tail, start, ands, seen, probs, cones=None) -> float:
                 return contrib
             v, ps, i, acc, is_and = stack.pop()
         acc *= contrib if is_and else 1.0 - contrib
+        if not acc and i < len(ps):
+            # saturated: the rest of this frame only marks
+            it = iter(ps[i:])
+            its = []
+            while True:
+                for u in it:
+                    if visited[u]:
+                        continue
+                    if cones and blk[u] != b and not (m := srcmask[blk[u]]) & vsrc:
+                        if m:
+                            mark(blk[u])
+                            vsrc |= m
+                        continue
+                    visited[u] = 1
+                    its.append(it)
+                    it = iter(tail[u])
+                    break
+                else:
+                    if not its:
+                        break
+                    it = its.pop()
+            i = len(ps)
 
 
 def solve_node(graph: AttackGraph, v: int) -> float:
@@ -179,6 +219,11 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
     reads the marks u's own walk read, in order, and returns
     ``values[u]``. A pushed row needs no OR of its own mask, because
     each row it reads passes the same test.
+
+    A saturated frame (see :func:`_walk`) contributes ``probs[v] * 0.0``
+    (And) or ``probs[v] * (1.0 - 0.0)`` (Or) whatever its remaining reads
+    would multiply, so they only mark. On ``generate`` n=4000, cyclicity
+    100, 86-92% of the reads run under a saturated frame.
 
     An And row o of block b with exactly one interior parent q, or an Or
     row whose only parent is q, is *absorbed*: it takes

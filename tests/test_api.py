@@ -45,6 +45,8 @@ def test_every_name_resolves_to_its_module():
             assert value.__name__ == f"cybag.{name}"
         else:
             assert value.__module__.startswith("cybag."), name
+    # each resolved name is now bound, and dir lists it once
+    assert dir(cybag) == sorted(set(PUBLIC) | set(vars(cybag)))
 
 
 def test_dir_lists_every_name_before_any_is_resolved():

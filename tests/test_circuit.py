@@ -23,7 +23,7 @@ from cybag.classify import CycleType, classify_cycles
 from cybag.errors import TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
-from cybag.graph import AttackGraph, Node, NodeKind, find_cycles, is_loop_free
+from cybag.graph import AttackGraph, DenseIndex, Node, NodeKind, find_cycles, is_loop_free
 from cybag.propagate import solve_node
 
 L, A, O = NodeKind.LEAF, NodeKind.AND, NodeKind.OR
@@ -437,6 +437,23 @@ def test_reachability_never_builds_the_components():
     reachability_exact(g, 14)
     reachability_mc(g, 14, 1 << 10, 0)
     assert "parents" in g.dense.__dict__ and "blocks" not in g.dense.__dict__
+
+
+def test_trajectories_share_one_children_list(monkeypatch):
+    # the child rows are built once per graph, not once per trajectory
+    g = load_fixture("running-example.json")
+    d, built = g.dense, []
+    build = DenseIndex.children.func
+
+    def spy(self):
+        built.append(build(self))
+        return built[-1]
+
+    monkeypatch.setattr(DenseIndex.children, "func", spy)
+    reachability_exact(g, 14)
+    first_hit_ticks(g, all_ones(g))
+    assert len(built) == 1 and d.children is built[0]
+    assert d.children == [[c for c, ps in enumerate(d.parents) if p in ps] for p in range(len(d.ids))]
 
 
 def test_reachability_mc_rejects_zero_samples():

@@ -66,6 +66,8 @@ def test_equal_graphs_hash_alike():
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert a != AttackGraph([Node(0, L, "x", 0.5), Node(1, O)], [])
+    assert a.__eq__((a.nodes, a.edges)) is NotImplemented
+    assert a != (a.nodes, a.edges)
     assert repr(a) == f"AttackGraph(nodes={a.nodes!r}, edges=((0, 1),))"
 
 

@@ -299,6 +299,34 @@ def test_solve_all_walks_an_exit_whose_cone_is_touched():
     assert_solve_all_is_bit_identical(touched_exit_graph())
 
 
+def test_solve_all_marks_what_a_saturated_frame_reads():
+    # The Or rows 1 and 3 and the And row 2 form one block. From origin 1
+    # the And frame 2 reads the marked 1 first, so its product is 0.0 and
+    # its later read of 3 only marks: 3 gets a frame that reads nothing
+    # new. The origin then reads 3 as visited and contributes 0, where an
+    # unmarked 3 would give 0.75 * 0.5 and make row 1 non-zero.
+    nodes = [Node(0, L, "", 0.5), Node(1, O, "", 0.9), Node(2, A, "", 0.8), Node(3, O, "", 0.75)]
+    edges = [(0, 3), (1, 2), (1, 3), (2, 1), (3, 1), (3, 2)]
+    g = AttackGraph(nodes, edges)
+    assert solve_all(g)[1] == 0.0
+    assert_solve_all_is_bit_identical(g)
+
+
+def test_solve_all_takes_a_saturated_frames_exit_with_its_cone():
+    # Row 3 is closed with two children, so it is a source unit; row 4
+    # reads only 3 and carries its mask. From origin 1 of the block {1, 2}
+    # the And frame 2 reads the marked 1, saturates, and then reads 3 as an
+    # exit: 3 is marked and its mask joins the exits read. So the
+    # origin's later read of 4 is no exit but a frame, which reads 3 as
+    # visited and gives 0, where the stored value of 4 is 0.8 * 0.9 * 0.5.
+    nodes = [Node(0, L, "", 0.5), Node(1, O, "", 0.9), Node(2, A, "", 0.7)]
+    nodes += [Node(3, A, "", 0.9), Node(4, A, "", 0.8)]
+    edges = [(0, 3), (1, 2), (2, 1), (3, 2), (3, 4), (4, 1)]
+    g = AttackGraph(nodes, edges)
+    assert solve_all(g)[1] == 0.0
+    assert_solve_all_is_bit_identical(g)
+
+
 def walked_origins(monkeypatch, g):
     """Ids of the rows that ``solve_all(g)`` runs ``_walk`` from, in order."""
     walk, origins = propagate._walk, []
