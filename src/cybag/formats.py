@@ -92,7 +92,7 @@ def _parse_id(raw, where, ids: set[int]) -> int:
     if raw in ids:
         raise _fail(where, f"duplicate node id {raw}")
     ids.add(raw)
-    return raw
+    return int(raw)  # plain, as Node makes it
 
 
 def _parse_edge(raw, where, ids: set[int], seen: set) -> tuple[int, int]:
@@ -106,6 +106,16 @@ def _parse_edge(raw, where, ids: set[int], seen: set) -> tuple[int, int]:
     if issue is not None:
         raise _fail(where, issue.message)
     return src, dst
+
+
+def _parse_label(raw, where) -> str:
+    if not isinstance(raw, str):
+        raise _fail(where, "label must be a string")
+    try:  # JSON may spell a lone surrogate such as "\ud800", which no output holds
+        raw.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _fail(where, "label holds a lone surrogate") from None
+    return raw
 
 
 def _parse_prob(raw, where) -> float:
@@ -134,44 +144,32 @@ def document_to_graph(doc) -> AttackGraph:
     nodes: list[Node] = []
     ids: set[int] = set()
     for i, item in enumerate(doc["nodes"]):
-        # One test accepts the common node, built without Node's checks,
-        # which it implies; any other item takes the per-field rules below.
-        try:
-            plain = (
-                type(item) is dict
-                and type(nid := item.get("id")) is int
-                and nid >= 0
-                and nid not in ids
-                and type(raw_kind := item.get("kind")) is str
-                and (kind := _KINDS_BY_VALUE.get(raw_kind)) is not None
-                and type(label := item.get("label", "")) is str
-                and label.isascii()
-                and type(raw_p := item.get("p", "1")) is str
-                and 0.0 <= (prob := float(raw_p)) <= 1.0
-            )
-        except ValueError:  # p does not spell a number
-            plain = False
-        if plain:
-            ids.add(nid)
-            nodes.append(tuple.__new__(Node, (nid, kind, label, abs(prob))))
-            continue
-        where = f"nodes[{i}]"
+        # Each field's common form passes an inline test; any other form
+        # takes the field's rule, which accepts a rare legal form (a JSON
+        # number p, a non-ASCII label) or fails. Either way the fields meet
+        # Node's checks, so the node is built without them.
         if not isinstance(item, dict):
-            raise SchemaError("node must be an object", where)
-        nid = _parse_id(item.get("id"), f"{where}.id", ids)
+            raise SchemaError("node must be an object", f"nodes[{i}]")
+        nid = item.get("id")
+        if type(nid) is int and nid >= 0 and nid not in ids:
+            ids.add(nid)
+        else:
+            nid = _parse_id(nid, f"nodes[{i}].id", ids)
         raw_kind = item.get("kind")
         kind = _KINDS_BY_VALUE.get(raw_kind) if isinstance(raw_kind, str) else None
         if kind is None:
-            raise SchemaError(f"kind must be leaf/and/or, got {raw_kind!r}", f"{where}.kind")
+            raise SchemaError(f"kind must be leaf/and/or, got {raw_kind!r}", f"nodes[{i}].kind")
         label = item.get("label", "")
-        if not isinstance(label, str):
-            raise SchemaError("label must be a string", f"{where}.label")
-        try:  # JSON may spell a lone surrogate such as "\ud800", which no output holds
-            label.encode("utf-8")
-        except UnicodeEncodeError:
-            raise SchemaError("label holds a lone surrogate", f"{where}.label") from None
-        prob = _parse_prob(item.get("p", "1"), f"{where}.p")
-        nodes.append(Node(nid, kind, label, prob))
+        if type(label) is not str or not label.isascii():
+            label = _parse_label(label, f"nodes[{i}].label")
+        raw_p = item.get("p", "1")
+        try:  # -1.0 sends any p but a decimal string to the rule
+            prob = float(raw_p) if type(raw_p) is str else -1.0
+        except ValueError:
+            prob = -1.0
+        if not 0.0 <= prob <= 1.0:
+            prob = _parse_prob(raw_p, f"nodes[{i}].p")
+        nodes.append(tuple.__new__(Node, (nid, kind, label, abs(prob))))
 
     seen: set[tuple[int, int]] = set()
     edges = []

@@ -284,9 +284,8 @@ def generate(params: GenParams) -> AttackGraph:
     bridges = iter(reserve)
 
     def add_bridge(src: int, dst: int) -> None:
-        a = next(bridges, None)
-        if a is None:
-            raise InfeasibleError("cycle bridge budget exhausted")
+        # target_or + 1 suffice: each bridge covers a new Or node, bar one in a last round
+        a = next(bridges)
         b.edges.add((ors[src], a))
         b.edges.add((rng.choice(leaves), a))
         b.edges.add((a, ors[dst]))

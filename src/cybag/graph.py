@@ -25,7 +25,7 @@ so everything is safe to share across threads.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Container, Iterable, Mapping, Sequence
+from collections.abc import Container, Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
@@ -200,24 +200,21 @@ class DenseIndex:
         condensation, as (ascending member rows, cyclic). A component is
         cyclic when it has two or more members or a self-edge. Computed on
         first use, so a single-node solve never pays for it."""
-        return _components(self.parents, range(len(self.ids)))
+        return _components(self.parents)
 
 
-def _components(
-    parents: list[tuple[int, ...]], rows: Sequence[int]
-) -> list[tuple[tuple[int, ...], bool]]:
-    """Strongly connected components of the subgraph induced by the
-    ascending ``rows``, as (ascending member rows, cyclic), by Tarjan's
-    algorithm (Tarjan 1972) run iteratively along parent rows. A component
-    is emitted after every component it reaches, its ancestors, so the
-    list is in topological order of the condensation."""
-    inside = set(rows)
-    done = len(rows)  # index of an emitted row: never lowers a low link
+def _components(parents: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], bool]]:
+    """Strongly connected components of the graph with parent rows
+    ``parents``, as (ascending member rows, cyclic), by Tarjan's algorithm
+    (Tarjan 1972) run iteratively along parent rows, once per graph. A
+    component is emitted after every component it reaches, its ancestors,
+    so the list is in topological order of the condensation."""
+    done = len(parents)  # index of an emitted row: never lowers a low link
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
     comps = []
-    for root in rows:
+    for root in range(len(parents)):
         if root in index:
             continue
         index[root] = low[root] = len(index)
@@ -226,8 +223,6 @@ def _components(
         while frames:
             v, todo, at = frames[-1]
             for p in todo:
-                if p not in inside:
-                    continue
                 if p not in index:
                     index[p] = low[p] = len(index)
                     frames.append((p, iter(parents[p]), len(stack)))
@@ -392,67 +387,70 @@ def find_cycles(graph: AttackGraph, max_cycles: int = DEFAULT_MAX_CYCLES) -> lis
     """All simple directed cycles, each starting at its smallest node id;
     a self-edge is the one-node cycle ``(v, v)``.
 
-    Johnson's blocked search (Johnson 1975) runs along parent rows from the
-    smallest row of each cyclic component; that row is then dropped and
-    the rest split again. The empty list is returned exactly when the
-    graph is acyclic. Raises :class:`CycleLimitError` (carrying the partial
-    list) once more than ``max_cycles`` cycles have been seen, or once the
-    found paths would hold more than :data:`CYCLE_BUDGET_BYTES`; cycle
-    counts can be exponential in graph size, so both caps are hard safety
-    nets.
+    Johnson's blocked search (Johnson 1975) runs along parent rows from
+    each row of each cyclic block of :attr:`DenseIndex.blocks` in turn,
+    entering only the block's rows above the start, so each cycle is
+    found once, from its smallest row. The empty list is returned exactly
+    when the graph is acyclic. A negative ``max_cycles`` is a ValueError.
+    Raises :class:`CycleLimitError` (carrying the partial list) once more
+    than ``max_cycles`` cycles have been seen, or once the found paths
+    would hold more than :data:`CYCLE_BUDGET_BYTES`; cycle counts can be
+    exponential in graph size, so both caps are hard safety nets.
     """
+    if max_cycles < 0:
+        raise ValueError(f"max_cycles must be >= 0, got {max_cycles}")
     d = graph.dense
     found: list[CyclePath] = []
     held = 0  # node slots of the found paths
-    work = [members for members, cyclic in d.blocks if cyclic]
-    while work:
-        members = work.pop()
-        start, inside = members[0], set(members)
-        path, blocked, closed = [start], {start}, [False]
-        waiting: dict[int, set[int]] = {}  # row -> rows to unblock with it
-        frames = [iter(d.parents[start])]
-        while frames:
-            for p in frames[-1]:
-                if p == start:
-                    if len(found) >= max_cycles:
-                        raise CycleLimitError(
-                            f"more than {max_cycles} simple cycles; enumeration stopped",
-                            found,
-                        )
-                    held += len(path) + 1
-                    if 8 * held > CYCLE_BUDGET_BYTES:
-                        raise CycleLimitError(
-                            f"cycles beyond the first {len(found)} exceed the "
-                            f"{CYCLE_BUDGET_BYTES}-byte cycle budget; enumeration stopped",
-                            found,
-                        )
-                    # the path runs against the edges: read backwards, it
-                    # closes the cycle from start back to start
-                    rows = (start, *reversed(path))
-                    found.append(CyclePath(tuple(d.ids[r] for r in rows)))
-                    closed[-1] = True
-                elif p in inside and p not in blocked:
-                    path.append(p)
-                    blocked.add(p)
-                    frames.append(iter(d.parents[p]))
-                    closed.append(False)
-                    break
-            else:
-                frames.pop()
-                v = path.pop()
-                if closed.pop():
-                    todo = {v}
-                    while todo:
-                        u = todo.pop()
-                        blocked.discard(u)
-                        todo |= waiting.pop(u, set()) & blocked
-                    if closed:
+    for members, cyclic in d.blocks:
+        if not cyclic:
+            continue
+        inside = set(members)
+        for start in members:
+            path, blocked, closed = [start], {start}, [False]
+            waiting: dict[int, set[int]] = {}  # row -> rows to unblock with it
+            frames = [iter(d.parents[start])]
+            while frames:
+                for p in frames[-1]:
+                    if p == start:
+                        if len(found) >= max_cycles:
+                            raise CycleLimitError(
+                                f"more than {max_cycles} simple cycles; enumeration stopped",
+                                found,
+                            )
+                        held += len(path) + 1
+                        if 8 * held > CYCLE_BUDGET_BYTES:
+                            raise CycleLimitError(
+                                f"cycles beyond the first {len(found)} exceed the "
+                                f"{CYCLE_BUDGET_BYTES}-byte cycle budget; enumeration stopped",
+                                found,
+                            )
+                        # the path runs against the edges: read backwards, it
+                        # closes the cycle from start back to start
+                        rows = (start, *reversed(path))
+                        found.append(CyclePath(tuple(d.ids[r] for r in rows)))
                         closed[-1] = True
+                    elif p > start and p in inside and p not in blocked:
+                        path.append(p)
+                        blocked.add(p)
+                        frames.append(iter(d.parents[p]))
+                        closed.append(False)
+                        break
                 else:
-                    for p in d.parents[v]:
-                        if p in inside:
-                            waiting.setdefault(p, set()).add(v)
-        work += (rest for rest, cyclic in _components(d.parents, members[1:]) if cyclic)
+                    frames.pop()
+                    v = path.pop()
+                    if closed.pop():
+                        todo = {v}
+                        while todo:
+                            u = todo.pop()
+                            blocked.discard(u)
+                            todo |= waiting.pop(u, set()) & blocked
+                        if closed:
+                            closed[-1] = True
+                    else:
+                        for p in d.parents[v]:
+                            if p > start and p in inside:
+                                waiting.setdefault(p, set()).add(v)
     found.sort(key=lambda c: (len(c.nodes), c.nodes))
     return found
 

@@ -1,10 +1,11 @@
 """Differential check of the JSON graph decoder against its per-field form.
 
-``formats.document_to_graph`` accepts a well-formed node or edge with one
-combined test and sends every other item through the per-field rules.
-The oracle below is the decoder before that test was added, every item
-through the per-field rules: on any document both must return the same
-graph, or fail with the same error type, message and JSON path.
+``formats.document_to_graph`` tests each node field's common form, and
+each edge, inline, and sends any other form through that field's or the
+edge's rule. The oracle below is the decoder before the inline tests were
+added, every item through the per-field rules: on any document both must
+return the same graph, or fail with the same error type, message and
+JSON path.
 """
 
 import pytest

@@ -167,6 +167,31 @@ def test_find_cycles_limit():
     assert len(exc.value.cycles) == 10
 
 
+@pytest.mark.parametrize("fixture", ["type1.json", "fig5.json"])
+def test_find_cycles_refuses_a_negative_limit(fixture):
+    # a caller's mistake, on a cyclic and on an acyclic graph alike
+    with pytest.raises(ValueError, match="max_cycles must be >= 0, got -1"):
+        find_cycles(load_fixture(fixture), -1)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["running-example.json", "type1.json", "type2.json", "type3.json"]
+)
+def test_find_cycles_runs_tarjan_once(monkeypatch, fixture):
+    from cybag import graph
+
+    calls = []
+
+    def counted(parents):
+        calls.append(1)
+        return components(parents)
+
+    components = graph._components
+    monkeypatch.setattr(graph, "_components", counted)
+    assert find_cycles(load_fixture(fixture))
+    assert len(calls) == 1
+
+
 def test_find_cycles_byte_budget_bounds_the_nodes_held(monkeypatch):
     from cybag import graph
 

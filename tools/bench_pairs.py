@@ -21,6 +21,10 @@ Untraced runs also keep the median scaled seconds of each command label,
 read from the run's samples in ``.perfbench/out/<workload>-seed<N>-trace0.json``,
 so a set whose workload mixes commands shows which of them moved.
 
+Every run reads ``src_lines``, the line count of ``src/cybag/*.py``, from
+perfbench's ``environment`` line; the file keeps each side's as
+``"src_lines": {"parent": N, "change": M}``, next to the numbers.
+
 ``--ladder 4000,16000`` also times ``generate`` in-process on each side,
 cyclicity 100, seed 0, three times per size in one fresh process, and
 keeps the times and the sha256 of each side's ``write_json`` bytes.
@@ -81,8 +85,8 @@ def run_once(checkout: Path, workload: str, seed: int, trace: bool) -> dict:
     values = {name: entry["value"] for name, entry in last["metrics"].items()}
     machine = (f"{env['nproc']}-CPU {env['cpu_model']}; "
                f"Python {env['python']}, numpy {env['numpy']}")
-    result = {"machine": machine, "failed": last["failed"], "attempted": last["attempted"],
-              **values}
+    result = {"machine": machine, "src_lines": env["src_lines"], "failed": last["failed"],
+              "attempted": last["attempted"], **values}
     if not trace:
         result["commands"] = command_medians(
             checkout / ".perfbench" / "out" / f"{workload}-seed{seed}-trace0.json")
@@ -198,6 +202,7 @@ def main() -> int:
             }
         workloads[name] = entry
         doc["machine"] = runs["change"][-1]["machine"]
+        doc["src_lines"] = {side: runs[side][-1]["src_lines"] for side in runs}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.ladder:
         rows = []
