@@ -54,7 +54,6 @@ _EXPORTS = {
         "fixture_path",
         "load_fixture",
         "read_json",
-        "read_mulval_csv",
         "read_plain_json",
         "write_dot",
         "write_json",

@@ -85,7 +85,7 @@ class SchemaError(CybagError):
 
 
 class ParseError(CybagError):
-    """Bytes that are not UTF-8 text, JSON or the expected CSV rows; ``line`` is 1-based."""
+    """Bytes that are not UTF-8 text or not JSON; ``line`` is 1-based."""
 
     code = "PARSE_ERROR"
 

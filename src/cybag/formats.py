@@ -1,9 +1,9 @@
-"""Serialization: canonical JSON graphs, MulVAL-style CSV import, DOT export.
+"""Serialization: canonical JSON graphs and DOT export.
 
 This module is the package's only file boundary. :func:`read_text`,
 :func:`load_json` and :func:`write_text` map every failure to a package
 error: an unreadable or unwritable file is an ``IoError``, bytes that are
-not UTF-8 text or not JSON/CSV a ``ParseError``, and input past
+not UTF-8 text or not JSON a ``ParseError``, and input past
 ``INPUT_LIMIT_BYTES`` a ``TooLargeError``. One set of element rules
 decides what a valid id, edge and probability is for every reader. The
 edge rules come from :func:`cybag.graph.edge_issue`, which
@@ -22,7 +22,6 @@ A companion document for bipartite exploit/condition graphs (used by the
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Mapping
 
@@ -32,7 +31,7 @@ from .graph import AttackGraph, Node, NodeKind, PlainBag, edge_issue
 FORMAT_VERSION = "1"
 INPUT_LIMIT_BYTES = 64 * 1024 * 1024
 
-# JSON documents spell a kind by its value, MulVAL CSV files by its name
+# JSON documents spell a kind by its value
 _KINDS_BY_VALUE = {k.value: k for k in NodeKind}
 
 
@@ -76,21 +75,12 @@ def write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _fail(where, message: str) -> Exception:
-    """The reader's error: SchemaError at a JSON path, or ParseError at a
-    ``(path, line)`` of a CSV file."""
-    if isinstance(where, str):
-        return SchemaError(message, where)
-    path, line = where
-    return ParseError(f"{message} in {path}", line)
-
-
 def _parse_id(raw, where, ids: set[int]) -> int:
     """A node id not seen before: a non-negative integer, added to ``ids``."""
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
-        raise _fail(where, "id must be a non-negative integer")
+        raise SchemaError("id must be a non-negative integer", where)
     if raw in ids:
-        raise _fail(where, f"duplicate node id {raw}")
+        raise SchemaError(f"duplicate node id {raw}", where)
     ids.add(raw)
     return int(raw)  # plain, as Node makes it
 
@@ -100,33 +90,33 @@ def _parse_edge(raw, where, ids: set[int], seen: set) -> tuple[int, int]:
     if not (isinstance(raw, list) and len(raw) == 2) or any(
         isinstance(x, bool) or not isinstance(x, int) for x in raw
     ):
-        raise _fail(where, "edge must be a [src, dst] integer pair")
+        raise SchemaError("edge must be a [src, dst] integer pair", where)
     src, dst = raw
     issue = edge_issue(src, dst, ids, seen)
     if issue is not None:
-        raise _fail(where, issue.message)
+        raise SchemaError(issue.message, where)
     return src, dst
 
 
 def _parse_label(raw, where) -> str:
     if not isinstance(raw, str):
-        raise _fail(where, "label must be a string")
+        raise SchemaError("label must be a string", where)
     try:  # JSON may spell a lone surrogate such as "\ud800", which no output holds
         raw.encode("utf-8")
     except UnicodeEncodeError:
-        raise _fail(where, "label holds a lone surrogate") from None
+        raise SchemaError("label holds a lone surrogate", where) from None
     return raw
 
 
 def _parse_prob(raw, where) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-        raise _fail(where, "probability must be a number or decimal string")
+        raise SchemaError("probability must be a number or decimal string", where)
     try:
         value = float(raw)
     except (ValueError, OverflowError):
-        raise _fail(where, f"not a probability: {raw!r}") from None
+        raise SchemaError(f"not a probability: {raw!r}", where) from None
     if not 0.0 <= value <= 1.0:
-        raise _fail(where, f"probability {value} outside [0, 1]")
+        raise SchemaError(f"probability {value} outside [0, 1]", where)
     return abs(value)  # "-0" parses to -0.0, which would print as -0.000000
 
 
@@ -273,53 +263,6 @@ def plain_document_to_bag(doc) -> PlainBag:
 
 def read_plain_json(path) -> PlainBag:
     return plain_document_to_bag(load_json(path))
-
-
-def _csv_rows(path):
-    """Non-empty rows of a CSV file, each with its ``(path, line)``."""
-    import csv
-
-    rows = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        for row in rows:
-            if row:
-                yield (path, rows.line_num), row
-    except csv.Error as exc:
-        raise ParseError(f"not valid CSV in {path}: {exc}", rows.line_num) from exc
-
-
-def _csv_int(field: str):
-    """A CSV field as an int when it spells one; other text fails the id rules."""
-    try:
-        return int(field)
-    except ValueError:
-        return field
-
-
-def read_mulval_csv(vertices_path, arcs_path) -> AttackGraph:
-    """Two-file CSV import: vertices ``id,"label",kind,p`` and arcs ``src,dst``.
-
-    Real MulVAL emits a few extra columns; this reader takes the minimal
-    shape. Labels must be quoted if they contain commas.
-    """
-    nodes: list[Node] = []
-    ids: set[int] = set()
-    for where, row in _csv_rows(vertices_path):
-        if len(row) != 4:
-            raise _fail(where, f"expected 4 fields id,label,kind,p, got {len(row)}")
-        raw_id, label, raw_kind, raw_p = row
-        nid = _parse_id(_csv_int(raw_id), where, ids)
-        kind = NodeKind.__members__.get(raw_kind.strip())
-        if kind is None:
-            raise _fail(where, f"unknown node kind {raw_kind!r}")
-        nodes.append(Node(nid, kind, label, _parse_prob(raw_p, where)))
-
-    seen: set[tuple[int, int]] = set()
-    edges = [
-        _parse_edge([_csv_int(x) for x in row], where, ids, seen)
-        for where, row in _csv_rows(arcs_path)
-    ]
-    return AttackGraph(nodes, edges)
 
 
 _DOT_SHAPES = {NodeKind.OR: "diamond", NodeKind.AND: "ellipse", NodeKind.LEAF: "box"}

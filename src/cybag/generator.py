@@ -71,7 +71,25 @@ class GenParams(
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        n, cyclicity, ratio, seed, max_parents = self
+        if not isinstance(ratio, (tuple, list)) or len(ratio) != 3:
+            raise ValueError(f"ratio must hold three numbers, got {ratio!r}")
+        # a non-plain field (a numpy scalar, say) is checked; an integral
+        # one is converted, since random.Random takes only a plain int seed
+        if any(type(v) is not int for v in (n, seed, max_parents)) or any(
+            type(v) is not int and type(v) is not float for v in (cyclicity, *ratio)
+        ):
+            import numbers
+
+            for name, v in (("n", n), ("seed", seed), ("max_parents", max_parents)):
+                if type(v) is bool or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
+            for name, v in (("cyclicity", cyclicity), *(("ratio entry", r) for r in ratio)):
+                if type(v) is bool or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{name} must be a real number, got {v!r}")
+            self = tuple.__new__(cls, (int(n), cyclicity, ratio, int(seed), int(max_parents)))
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n}")
         if not 0.0 <= self.cyclicity <= 100.0:
@@ -85,6 +103,7 @@ class GenParams(
         if self.seed < 0:
             # random.Random(-s) seeds exactly like Random(s)
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 

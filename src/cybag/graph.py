@@ -51,8 +51,14 @@ class Node(namedtuple("Node", "id kind label local_prob")):
     __slots__ = ()
 
     def __new__(cls, id: int, kind: NodeKind, label: str = "", local_prob: float = 1.0):
-        # a non-plain id or probability (a numpy scalar, say) is checked and converted
-        if type(id) is not int or type(local_prob) is not float or type(kind) is not NodeKind:
+        # a non-plain id, label or probability (a numpy scalar, say) is
+        # checked and converted
+        if (
+            type(id) is not int
+            or type(local_prob) is not float
+            or type(kind) is not NodeKind
+            or type(label) is not str
+        ):
             import numbers
 
             if type(kind) is not NodeKind:
@@ -61,7 +67,9 @@ class Node(namedtuple("Node", "id kind label local_prob")):
                 raise ValueError(f"node id must be an integer, got {id!r}")
             if type(local_prob) is bool or not isinstance(local_prob, numbers.Real):
                 raise ValueError(f"local_prob must be a real number, got {local_prob!r}")
-            id, local_prob = int(id), float(local_prob)
+            if not isinstance(label, str):
+                raise ValueError(f"node label must be a string, got {label!r}")
+            id, label, local_prob = int(id), str(label), float(local_prob)
         if id < 0:
             raise ValueError(f"node id must be non-negative, got {id}")
         if not 0.0 <= local_prob <= 1.0:

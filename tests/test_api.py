@@ -28,7 +28,7 @@ PUBLIC = [
     "find_cycles", "first_hit", "fixed_point", "fixture_path", "formats", "generate",
     "generator", "graph", "import_feed", "is_loop_free", "load_fixture", "node_factor",
     "parse_cvss_vector", "probability_from_complexity", "propagate", "reachability_exact",
-    "reachability_mc", "read_json", "read_mulval_csv", "read_plain_json", "scoring",
+    "reachability_mc", "read_json", "read_plain_json", "scoring",
     "solve_acyclic_closed_form", "solve_all", "solve_node", "step", "topological_order",
     "validate", "write_dot", "write_json",
 ]

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import re
 
 import numpy as np
@@ -12,7 +11,6 @@ from cybag.formats import (
     graph_to_document,
     load_fixture,
     read_json,
-    read_mulval_csv,
     read_plain_json,
     write_dot,
     write_json,
@@ -239,7 +237,7 @@ def test_schema_error_for_mistyped_values(node, path, tmp_path):
 )
 def test_readers_and_validate_share_the_edge_rules(edge, code, tmp_path):
     """validate names the rule the second edge breaks with the message the
-    JSON and CSV readers raise after its path or line."""
+    JSON reader raises after its path."""
     edges = [[0, 1], edge]
     graph = AttackGraph([Node(0, NodeKind.LEAF), Node(1, NodeKind.AND)], map(tuple, edges))
     [issue] = validate(graph).errors
@@ -248,13 +246,6 @@ def test_readers_and_validate_share_the_edge_rules(edge, code, tmp_path):
     with pytest.raises(SchemaError) as exc:
         read_json(write_doc(tmp_path, make_doc(edges=edges)))
     assert str(exc.value) == f"edges[1]: {issue.message}"
-
-    vertices, arcs = tmp_path / "v.csv", tmp_path / "a.csv"
-    vertices.write_text('0,"a",LEAF,0.5\n1,"b",AND,1\n')
-    arcs.write_text("".join(f"{src},{dst}\n" for src, dst in edges))
-    with pytest.raises(ParseError) as exc:
-        read_mulval_csv(vertices, arcs)
-    assert str(exc.value) == f"line 2: {issue.message} in {arcs}"
 
 
 def test_plain_duplicate_edge_is_a_schema_error(tmp_path):
@@ -292,93 +283,6 @@ def test_read_json_invalid_json(tmp_path):
     path.write_text("{")
     with pytest.raises(ParseError):
         read_json(path)
-
-
-def test_read_mulval_csv(tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text(
-        '0,"attackerLocated(internet)",LEAF,1.0\n'
-        '2,"RULE 2 (remote exploit of a server program)",AND,1.0\n'
-        '3,"netAccess(dbServer,tcp,3306)",OR,1.0\n'
-    )
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("0,2\n2,3\n")
-    g = read_mulval_csv(vertices, arcs)
-    assert g.kind(0) is NodeKind.LEAF
-    assert g.kind(2) is NodeKind.AND
-    assert g.node(2).label.startswith("RULE 2")
-    assert g.node(3).label == "netAccess(dbServer,tcp,3306)"
-    assert g.edges == ((0, 2), (2, 3))
-
-
-def test_read_mulval_csv_bad_kind(tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text('0,"x",ANDD,1.0\n')
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("")
-    with pytest.raises(ParseError) as exc:
-        read_mulval_csv(vertices, arcs)
-    assert exc.value.line == 1
-
-
-def test_read_mulval_csv_unquoted_comma(tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text("0,netAccess(dbServer,tcp),LEAF,1.0\n")
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("")
-    with pytest.raises(ParseError):
-        read_mulval_csv(vertices, arcs)
-
-
-def test_read_mulval_csv_dangling_arc(tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text('0,"x",LEAF,1.0\n')
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("0,5\n")
-    with pytest.raises(ParseError) as exc:
-        read_mulval_csv(vertices, arcs)
-    assert exc.value.line == 1
-
-
-def test_read_mulval_csv_negative_zero(tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text('0,"x",LEAF,-0\n')
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("")
-    assert math.copysign(1.0, read_mulval_csv(vertices, arcs).local_prob(0)) == 1.0
-
-
-@pytest.mark.parametrize(
-    "vertex_lines, arc_lines, line, name",
-    [
-        ('-1,"x",LEAF,1.0\n', "", 1, "v.csv"),
-        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n1,1\n", 2, "a.csv"),
-        ('0,"x",LEAF,1.0\n1,"y",OR,1.0\n', "0,1\n0,1\n", 2, "a.csv"),
-        ('0,"x",LEAF,1.0\n0,"y",OR,1.0\n', "", 2, "v.csv"),
-        ('0,"' + "x" * 200_000 + '",LEAF,1.0\n', "", 1, "v.csv"),
-    ],
-    ids=["negative-id", "self-arc", "duplicate-arc", "duplicate-id", "huge-field"],
-)
-def test_read_mulval_csv_rejects_bad_elements(vertex_lines, arc_lines, line, name, tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text(vertex_lines)
-    arcs = tmp_path / "a.csv"
-    arcs.write_text(arc_lines)
-    with pytest.raises(ParseError) as exc:
-        read_mulval_csv(vertices, arcs)
-    assert exc.value.line == line
-    assert str(tmp_path / name) in exc.value.message
-
-
-@pytest.mark.parametrize("bad", ["vertices", "arcs"])
-def test_read_mulval_csv_non_utf8_is_a_parse_error(bad, tmp_path):
-    vertices = tmp_path / "v.csv"
-    vertices.write_text('0,"x",LEAF,1.0\n')
-    arcs = tmp_path / "a.csv"
-    arcs.write_text("")
-    (vertices if bad == "vertices" else arcs).write_bytes(b"\xff\xfe")
-    with pytest.raises(ParseError, match="not UTF-8"):
-        read_mulval_csv(vertices, arcs)
 
 
 def test_write_dot(tmp_path, fig5):

@@ -1,12 +1,14 @@
-"""Generated inputs for the readers and the CLI.
+"""Generated inputs for the CLI's readers and engines.
 
-Every example must end in exit code 0-3 (CLI) or a result or
-:class:`CybagError` (MulVAL reader): never another exception. The
-strategies stay close to each document's shape, with mistyped fields
-mixed in, so that most examples get past JSON decoding and exercise the
-element rules and the engines behind them; arbitrary bytes cover the
-decoding itself. A 10^5-node chain checks that no command hangs or
-overflows the stack on deep input.
+Every example must end in exit code 0-3, never in an exception. Each
+engine command (``solve``, exact and Monte Carlo ``circuit``, ``ve``,
+``compare``, ``cycles``, ``dot --probs``) meets the same generated graph
+documents and arbitrary bytes; ``convert`` and ``score`` meet their own
+document shapes. The strategies stay close to each document's shape,
+with mistyped fields mixed in, so that most examples get past JSON
+decoding and exercise the element rules and the engines behind them;
+arbitrary bytes cover the decoding itself. A 10^5-node chain checks
+that no command hangs or overflows the stack on deep input.
 """
 
 import contextlib
@@ -22,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cybag.cli import run
-from cybag.errors import CybagError
-from cybag.formats import fixture_path, read_mulval_csv, write_json
+from cybag.formats import fixture_path, write_json
 from cybag.graph import AttackGraph, Node, NodeKind
 
 FUZZ = settings(
@@ -91,6 +92,11 @@ COMMANDS = {
     "cycles": (graph_docs, ["cycles", "--in", "{doc}"]),
     "convert": (plain_docs, ["convert", "--plain", "{doc}", "--out", "{out}"]),
     "score": (feeds, ["score", "--in", RUNNING, "--feed", "{doc}", "--out", "{out}"]),
+    "circuit": (graph_docs, ["circuit", "--in", "{doc}", "--node", "0"]),
+    "circuit-mc": (graph_docs, ["circuit", "--in", "{doc}", "--node", "1", "--mc", "64"]),
+    "ve": (graph_docs, ["ve", "--in", "{doc}", "--node", "1"]),
+    "compare": (graph_docs, ["compare", "--in", "{doc}", "--node", "1"]),
+    "dot-probs": (graph_docs, ["dot", "--in", "{doc}", "--probs", "--out", "{out}"]),
 }
 
 
@@ -122,26 +128,6 @@ def test_cli_ends_in_an_exit_code(command, data, workdir):
 @given(content=st.binary(max_size=64))
 def test_cli_ends_in_an_exit_code_on_arbitrary_bytes(command, content, workdir):
     run_on_file(command, content, workdir)
-
-
-fields = st.sampled_from(
-    ["0", "1", "2", "-1", " 3", "LEAF", "AND", "OR", "0.5", "-0", "nan", "1e400", '"x,y"']
-) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
-csv_files = st.lists(st.lists(fields, max_size=5), max_size=6).map(
-    lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8")
-) | st.binary(max_size=40)
-
-
-@FUZZ
-@given(vertices=csv_files, arcs=csv_files)
-def test_mulval_reader_returns_or_raises_a_package_error(vertices, arcs, workdir):
-    vpath, apath = workdir / "v.csv", workdir / "a.csv"
-    vpath.write_bytes(vertices)
-    apath.write_bytes(arcs)
-    try:
-        read_mulval_csv(vpath, apath)
-    except CybagError:
-        pass
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

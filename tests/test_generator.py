@@ -125,6 +125,34 @@ def test_params_validation():
         GenParams(n=10, cyclicity=0, ratio=(50, 30, 15))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 10.5),
+        ("max_parents", 2.5),
+        ("cyclicity", "50"),
+        ("ratio", ("50", "35", "15")),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+    ids=["float-n", "float-max-parents", "str-cyclicity", "str-ratio", "float-seed", "bool-seed"],
+)
+def test_params_refuse_a_mistyped_field(field, value):
+    # each once escaped as a TypeError from generate or built a graph
+    with pytest.raises(ValueError, match="must be an integer|must be a real number"):
+        generate(GenParams(**{"n": 10, "cyclicity": 0, field: value}))
+
+
+def test_params_accept_numbers_that_are_not_plain():
+    np = pytest.importorskip("numpy")
+    plain = GenParams(n=30, cyclicity=100, seed=3)
+    odd = GenParams(n=np.int64(30), cyclicity=np.float32(100), seed=np.uint8(3))
+    assert odd == plain and type(odd.seed) is int
+    assert generate(odd) == generate(plain)
+    with pytest.raises(ValueError, match="three numbers"):
+        GenParams(n=10, cyclicity=0, ratio=(50, 50))
+
+
 @st.composite
 def gen_params(draw):
     a = draw(st.floats(0, 100))

@@ -43,6 +43,22 @@ def test_node_rejects_a_kind_that_is_not_a_member(kind):
     assert Node(2, A, "c", 1.0)._replace(kind=O).kind is O
 
 
+@pytest.mark.parametrize("label", [5, None, b"x"], ids=["int", "None", "bytes"])
+def test_node_rejects_a_label_that_is_not_a_string(label):
+    # write_json would raise a bare TypeError on such a label
+    with pytest.raises(ValueError, match="label must be a string"):
+        Node(2, A, label, 1.0)
+    with pytest.raises(ValueError, match="label must be a string"):
+        Node(2, A, "c", 1.0)._replace(label=label)
+
+
+def test_node_stores_a_str_subclass_label_as_a_plain_str():
+    class Tag(str):
+        pass
+
+    assert type(Node(2, A, Tag("c"), 1.0).label) is str
+
+
 @pytest.mark.parametrize(
     "record, field",
     [

@@ -21,6 +21,7 @@ from cybag.propagate import (
     disjunction,
     solve_acyclic_closed_form,
     solve_all,
+    solve_node,
 )
 
 probabilities = st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=8)
@@ -128,3 +129,24 @@ def test_a_new_or_parent_lowers_no_exact_value(g, data):
     before, after = exact(g), exact(h)
     for v in g.node_ids:
         assert after[v] >= before[v] - 1e-12
+
+
+# Relation 2 leaves Monte Carlo out: an input raised to p = 1 leaves its
+# draw stream and shifts the draws of every later input (ROADMAP item 12).
+
+
+@given(attack_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_raising_one_p_lowers_no_value(g, data):
+    node = data.draw(st.sampled_from(g.nodes))
+    p = data.draw(st.floats(node.local_prob, 1.0))
+    h = AttackGraph([n._replace(local_prob=p) if n is node else n for n in g.nodes], g.edges)
+    before, after = exact(g), exact(h)
+    acyclic = not find_cycles(g)
+    fast_before, fast_after = solve_all(g), solve_all(h)
+    for v in g.node_ids:
+        assert after[v] >= before[v] - 1e-12
+        if acyclic:
+            assert eliminate(h, v) >= eliminate(g, v) - 1e-12
+        assert fast_after[v] >= fast_before[v]
+        assert solve_node(h, v) >= solve_node(g, v)
