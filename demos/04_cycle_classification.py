@@ -17,10 +17,10 @@ from cybag import (
     classify_cycle,
     closing_edge,
     find_cycles,
-    first_hit,
     load_fixture,
     reachability_exact,
 )
+from cybag.circuit import first_hit_ticks
 
 for name in ("type1.json", "type2.json", "type3.json"):
     g = load_fixture(name)
@@ -37,7 +37,7 @@ for name in ("type1.json", "type2.json", "type3.json"):
 # one instantiation and note when each node first turns on.
 g3 = load_fixture("type3.json")
 inst = Instantiation({v: (1 if v != 1 else 0) for v in g3.node_ids})
-hits = {fh.node: fh.k_star_i for fh in first_hit(g3, inst)}
+hits = dict(zip(g3.node_ids, first_hit_ticks(g3, inst)))
 print("\nfirst-hit times with the main entry disabled:", hits)
 
 # Edge removal is only safe on Type 2. Watch the target probability.

@@ -30,11 +30,9 @@ _EXPORTS = {
     "classify": (
         "CycleReport",
         "CycleType",
-        "FirstHit",
         "classify_all",
         "classify_cycle",
         "closing_edge",
-        "first_hit",
     ),
     "errors": (
         "CybagError",

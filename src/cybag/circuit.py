@@ -26,7 +26,10 @@ probability over instantiations of the primed inputs. It is computed
 exactly by weighted enumeration of the inputs with fractional
 probabilities (:func:`reachability_exact`) or estimated by sampling
 (:func:`reachability_mc`). Both run one chunk loop, which fills each
-chunk's inputs from one input encoder and evaluates them. A chunk is as
+chunk's inputs from one input encoder and evaluates them. Enumeration
+has two limits on the fractional inputs: :data:`EXACT_ENUM_LIMIT` for
+exact reachability and :data:`CLASSIFY_ENUM_LIMIT` for the trajectories
+cycle classification reads (:func:`enumerate_trajectories`). A chunk is as
 wide as a matrix of one byte per node and instantiation that fits
 :data:`CHUNK_BUDGET_BYTES`; its packed bits take an eighth of that. Only
 sampling imports numpy, for its draws. On acyclic graphs the exact value
@@ -46,6 +49,7 @@ from .errors import TooLargeError
 from .graph import AttackGraph, DenseIndex, NodeKind
 
 EXACT_ENUM_LIMIT = 24
+CLASSIFY_ENUM_LIMIT = 20
 MC_SAMPLE_LIMIT = 1 << 32
 # Bytes one chunk's cell matrix may take, at a byte per cell. Graphs of
 # up to 64 nodes get 2^20 columns per chunk.
@@ -249,16 +253,14 @@ def first_hit_ticks(graph: AttackGraph, inst: Instantiation) -> list[int | None]
     return hits
 
 
-def enumerate_trajectories(
-    graph: AttackGraph, limit: int
-) -> Iterator[tuple[int, Iterator[Tick]]]:
+def enumerate_trajectories(graph: AttackGraph) -> Iterator[tuple[int, Iterator[Tick]]]:
     """The trajectory of every instantiation of the fractional inputs, per
     chunk: the chunk's first enumeration index and its bit-parallel
     :func:`step` run, which yields per tick the state (bit c is index
     start + c) and the rows that changed with their new state. Raises
-    :class:`TooLargeError` past ``limit`` fractional inputs."""
+    :class:`TooLargeError` past :data:`CLASSIFY_ENUM_LIMIT` fractional inputs."""
     d = graph.dense
-    for start, _, primes in _enumerate(d, limit, "classification"):
+    for start, _, primes in _enumerate(d, CLASSIFY_ENUM_LIMIT, "classification"):
         yield start, _trajectory(d, primes)
 
 

@@ -14,15 +14,17 @@ Type 1 needs no enumeration: the least fixed point is monotone in the
 primed inputs, so one run with every input of probability > 0 switched
 on shows which nodes can ever turn on. The Type 2/3 split quantifies
 over all instantiations (sampling could not certify the universal case),
-so :func:`classify_cycles` enumerates them in order, once, on graphs with
-at most ``CLASSIFY_ENUM_LIMIT`` fractional inputs. Each chunk of
+so :func:`classify_cycles` enumerates them in order, once, through
+:func:`~cybag.circuit.enumerate_trajectories`, which refuses a graph with
+more than ``circuit.CLASSIFY_ENUM_LIMIT`` fractional inputs. Each chunk of
 instantiations runs the synchronous trajectory bit-parallel, and each
 cycle node collects the bits that are on while the target's bit is off;
 those whose target does turn on are early. The enumeration stops as soon
 as every cycle that is not Type 1 has a witness, and enumerates nothing
 when all are Type 1. A witness's tick comes from a run of its one
 instantiation. :func:`classify_cycle` and :func:`classify_all` are thin
-wrappers over it.
+wrappers over it. The first-hit times themselves, per node under one
+instantiation, are :func:`~cybag.circuit.first_hit_ticks`.
 """
 
 from __future__ import annotations
@@ -39,19 +41,11 @@ from .circuit import (
 from .errors import TargetRequiredError
 from .graph import AttackGraph, CyclePath, find_cycles
 
-CLASSIFY_ENUM_LIMIT = 20
-
 
 class CycleType(Enum):
     TYPE1 = 1
     TYPE2 = 2
     TYPE3 = 3
-
-
-class FirstHit(namedtuple("FirstHit", "node k_star_i")):
-    """Earliest tick ``k_star_i`` at which a node turns on; None when it never does."""
-
-    __slots__ = ()
 
 
 class CycleReport(
@@ -63,11 +57,6 @@ class CycleReport(
     that can fire."""
 
     __slots__ = ()
-
-
-def first_hit(graph: AttackGraph, inst: Instantiation) -> list[FirstHit]:
-    """First-hit time of every node under one instantiation."""
-    return [FirstHit(v, t) for v, t in zip(graph.node_ids, first_hit_ticks(graph, inst))]
 
 
 def classify_cycles(
@@ -99,7 +88,7 @@ def classify_cycles(
     # member has an entry the cycle's witness is final.
     live = [] if target_row is None else [m for m, t1 in zip(members, type1) if not t1]
     if live:
-        for start, trajectory in enumerate_trajectories(graph, CLASSIFY_ENUM_LIMIT):
+        for start, trajectory in enumerate_trajectories(graph):
             early = dict.fromkeys((i for rows in live for _, i in rows), 0)
             reached = 0
             for cells, on in trajectory:

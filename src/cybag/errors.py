@@ -10,10 +10,6 @@ class CybagError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
 
 class UnknownNodeError(CybagError):
     code = "UNKNOWN_NODE"

@@ -7,7 +7,9 @@ not UTF-8 text or not JSON a ``ParseError``, and input past
 ``INPUT_LIMIT_BYTES`` a ``TooLargeError``. One set of element rules
 decides what a valid id, edge and probability is for every reader. The
 edge rules come from :func:`cybag.graph.edge_issue`, which
-:func:`cybag.graph.validate` applies too.
+:func:`cybag.graph.validate` applies too. A probability is a number or
+a decimal string in [0, 1]; a string with ``_``, a non-ASCII character or
+surrounding whitespace is refused, though ``float()`` would take it.
 
 The JSON document is ``{"version": "1", "notes": optional text, "nodes":
 [{"id", "kind", "label", "p"}], "edges": [[src, dst], ...]}``. Nodes and
@@ -111,6 +113,8 @@ def _parse_label(raw, where) -> str:
 def _parse_prob(raw, where) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
         raise SchemaError("probability must be a number or decimal string", where)
+    if isinstance(raw, str) and not (raw.isascii() and "_" not in raw and raw.strip() == raw):
+        raise SchemaError(f"not a probability: {raw!r}", where)
     try:
         value = float(raw)
     except (ValueError, OverflowError):
@@ -153,8 +157,9 @@ def document_to_graph(doc) -> AttackGraph:
         if type(label) is not str or not label.isascii():
             label = _parse_label(label, f"nodes[{i}].label")
         raw_p = item.get("p", "1")
-        try:  # -1.0 sends any p but a decimal string to the rule
-            prob = float(raw_p) if type(raw_p) is str else -1.0
+        try:  # -1.0 sends any p but a plain decimal string to the rule
+            plain = type(raw_p) is str and raw_p.isascii() and "_" not in raw_p
+            prob = float(raw_p) if plain and raw_p.strip() == raw_p else -1.0
         except ValueError:
             prob = -1.0
         if not 0.0 <= prob <= 1.0:

@@ -319,12 +319,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def error_codes(self) -> list[str]:
-        return [i.code for i in self.errors]
-
-    def warning_codes(self) -> list[str]:
-        return [i.code for i in self.warnings]
-
 
 def edge_issue(src: int, dst: int, ids: Container[int], seen: set) -> Issue | None:
     """The first edge rule ``src -> dst`` breaks: an end not in ``ids``, a

@@ -34,7 +34,8 @@ In either, a frame whose running product reaches exactly 0.0 is
 bit for bit, and the frame's remaining reads, with every frame they would
 push, run in a mark-only loop that leaves the same marks and does no
 float arithmetic.
-:func:`solve_acyclic_closed_form` takes the closed-form step everywhere.
+:func:`solve_acyclic_closed_form` takes the closed-form step everywhere,
+which matches :func:`solve_all` on loop-free graphs but not on every DAG.
 
 Recursion is realized with one explicit stack, so graphs with tens of
 thousands of nodes cannot overflow the interpreter stack. Everything here
@@ -311,10 +312,14 @@ def solve_all(graph: AttackGraph) -> dict[int, float]:
 
 
 def solve_acyclic_closed_form(graph: AttackGraph) -> dict[int, float]:
-    """One topological sweep of the recursive product formula.
+    """One topological sweep of :func:`_closed_form`, which multiplies
+    parents' final values as if they were independent.
 
-    Exact match for :func:`solve_all` on loop-free graphs and a fast path
-    for any DAG. Raises :class:`GraphCyclicError` on cyclic input.
+    Equal bit for bit to :func:`solve_all` on loop-free graphs. On a DAG
+    with loops the two can differ: where two paths share an interior row,
+    :func:`solve_all` counts the row once and zeroes its revisit, while
+    this multiplies its value into both paths. Neither is exact there.
+    Raises :class:`GraphCyclicError` on cyclic input.
     """
     d = graph.dense
     if any(cyclic for _, cyclic in d.blocks):

@@ -149,3 +149,30 @@ def attack_graphs(draw, max_nodes: int = 10, allow_cycles: bool = True):
     ]
     edges = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=3 * n)) if candidates else []
     return AttackGraph(nodes, edges)
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """Graphs of up to 10 nodes, mostly Or, rich in cycles and in entries
+    to them, with inputs at 0, 1 and in between, so that every cycle type
+    and early witness shows up."""
+    n_leaf = draw(st.integers(1, 3))
+    n = n_leaf + draw(st.integers(2, 7))
+    probs = st.sampled_from([0.5, 1.0, 0.25, 0.0])
+    nodes = [Node(v, NodeKind.LEAF, "", draw(probs)) for v in range(n_leaf)]
+    nodes += [
+        Node(
+            v,
+            draw(st.sampled_from([NodeKind.OR, NodeKind.OR, NodeKind.AND])),
+            "",
+            draw(st.sampled_from([1.0, 0.5, 1.0, 0.5, 0.0])),
+        )
+        for v in range(n_leaf, n)
+    ]
+    fed = draw(st.sets(st.integers(n_leaf, n - 1), min_size=1))
+    entries = [(v % n_leaf, v) for v in sorted(fed)]
+    inner = [(u, v) for v in range(n_leaf, n) for u in range(n_leaf, n) if u != v]
+    edges = draw(
+        st.lists(st.sampled_from(inner), unique=True, min_size=n - n_leaf, max_size=2 * n)
+    )
+    return AttackGraph(nodes, entries + edges)

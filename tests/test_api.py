@@ -18,14 +18,14 @@ import cybag
 PUBLIC = [
     "AttackGraph", "BenchRow", "CircuitState", "Complexity",
     "ComplexityScore", "CveRecord", "CybagError", "CycleLimitError", "CyclePath",
-    "CycleReport", "CycleType", "Factor", "FirstHit", "GenParams", "GraphCyclicError",
+    "CycleReport", "CycleType", "Factor", "GenParams", "GraphCyclicError",
     "InfeasibleError", "Instantiation", "IoError", "Node", "NodeKind", "ParseError",
     "PlainBag", "PlainCycleError", "ReachEstimate", "SchemaError", "TargetRequiredError",
     "TooLargeError", "UnknownNodeError", "ValidationReport", "WidthLimitError",
     "apply_scores", "bayes", "bench", "brute_force_marginal", "circuit", "classify",
     "classify_all", "classify_cycle", "closing_edge", "conjunction", "convert_plain",
     "cyclic_or_fraction", "disjunction", "eliminate", "elimination_order", "errors",
-    "find_cycles", "first_hit", "fixed_point", "fixture_path", "formats", "generate",
+    "find_cycles", "fixed_point", "fixture_path", "formats", "generate",
     "generator", "graph", "import_feed", "is_loop_free", "load_fixture", "node_factor",
     "parse_cvss_vector", "probability_from_complexity", "propagate", "reachability_exact",
     "reachability_mc", "read_json", "read_plain_json", "scoring",

@@ -464,5 +464,5 @@ def test_reachability_mc_rejects_zero_samples():
 
 def test_empty_graph_enumerates_one_empty_chunk():
     # an empty cell matrix fits any budget; with no rows nothing ever turns on
-    [(start, trajectory)] = circuit.enumerate_trajectories(AttackGraph([], []), 20)
+    [(start, trajectory)] = circuit.enumerate_trajectories(AttackGraph([], []))
     assert start == 0 and list(trajectory) == []

@@ -5,26 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybag import circuit
-from cybag.circuit import Instantiation, instantiation_at, reachability_exact
-from cybag.classify import (
+from cybag.circuit import (
     CLASSIFY_ENUM_LIMIT,
+    Instantiation,
+    first_hit_ticks,
+    instantiation_at,
+    reachability_exact,
+)
+from cybag.classify import (
     CycleReport,
     CycleType,
     classify_all,
     classify_cycle,
     classify_cycles,
     closing_edge,
-    first_hit,
 )
 from cybag.errors import TargetRequiredError, TooLargeError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.graph import AttackGraph, CyclePath, Node, NodeKind, find_cycles
 
-from conftest import attack_graphs, reference_run
+from conftest import attack_graphs, cyclic_graphs, reference_run
 
 
 def hits_by_node(g, inst):
-    return {fh.node: fh.k_star_i for fh in first_hit(g, inst)}
+    return dict(zip(g.node_ids, first_hit_ticks(g, inst)))
 
 
 def test_first_hit_hand_simulation(fig5):
@@ -44,7 +48,7 @@ def test_first_hit_single_leaf():
 
 def test_first_hit_rejects_mismatched_domain(fig5):
     with pytest.raises(ValueError):
-        first_hit(fig5, Instantiation({0: 1}))
+        first_hit_ticks(fig5, Instantiation({0: 1}))
 
 
 def test_instantiation_at_follows_enumeration_order():
@@ -289,33 +293,6 @@ def reference_classify_cycles(graph, cycles, target=None, runs=None):
             cycle_type = CycleType.TYPE2 if witness is None else CycleType.TYPE3
         reports.append(CycleReport(cycle, cycle_type, target, witness))
     return reports
-
-
-@st.composite
-def cyclic_graphs(draw):
-    """Graphs of up to 10 nodes, mostly Or, rich in cycles and in entries
-    to them, with inputs at 0, 1 and in between, so that every cycle type
-    and early witness shows up."""
-    n_leaf = draw(st.integers(1, 3))
-    n = n_leaf + draw(st.integers(2, 7))
-    probs = st.sampled_from([0.5, 1.0, 0.25, 0.0])
-    nodes = [Node(v, NodeKind.LEAF, "", draw(probs)) for v in range(n_leaf)]
-    nodes += [
-        Node(
-            v,
-            draw(st.sampled_from([NodeKind.OR, NodeKind.OR, NodeKind.AND])),
-            "",
-            draw(st.sampled_from([1.0, 0.5, 1.0, 0.5, 0.0])),
-        )
-        for v in range(n_leaf, n)
-    ]
-    fed = draw(st.sets(st.integers(n_leaf, n - 1), min_size=1))
-    entries = [(v % n_leaf, v) for v in sorted(fed)]
-    inner = [(u, v) for v in range(n_leaf, n) for u in range(n_leaf, n) if u != v]
-    edges = draw(
-        st.lists(st.sampled_from(inner), unique=True, min_size=n - n_leaf, max_size=2 * n)
-    )
-    return AttackGraph(nodes, entries + edges)
 
 
 @settings(max_examples=200, deadline=None)

@@ -214,6 +214,24 @@ def test_schema_error_bad_probability(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "p",
+    ["0.1_1", "1_0", " 0.5 ", "0.5\n", "٠.٥", "０.５"],
+    ids=["underscore", "underscore-ten", "spaces", "newline", "arabic-indic", "fullwidth"],
+)
+def test_probability_strings_are_plain_ascii_decimals(p, tmp_path):
+    """float() accepts each of these; neither reader does."""
+    doc = make_doc(nodes=[{"id": 0, "kind": "leaf", "p": p}], edges=[])
+    with pytest.raises(SchemaError) as exc:
+        read_json(write_doc(tmp_path, doc))
+    assert exc.value.path == "nodes[0].p"
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps({"exploits": [{"id": 1}], "conditions": [{"id": 0, "p": p}]}))
+    with pytest.raises(SchemaError) as exc:
+        read_plain_json(path)
+    assert exc.value.path == "conditions[0].p"
+
+
+@pytest.mark.parametrize(
     "node, path",
     [
         ({"id": 0, "kind": ["leaf"]}, "nodes[0].kind"),

@@ -106,12 +106,12 @@ def test_validate_well_formed(fig5):
 
 def test_validate_leaf_with_parent():
     g = AttackGraph([Node(0, L), Node(1, L)], [(0, 1)])
-    assert "LEAF_HAS_PARENT" in validate(g).error_codes()
+    assert "LEAF_HAS_PARENT" in [i.code for i in validate(g).errors]
 
 
 def test_validate_dangling_edge():
     g = AttackGraph([Node(0, L), Node(1, A)], [(0, 1), (99, 1)])
-    assert "DANGLING_EDGE" in validate(g).error_codes()
+    assert "DANGLING_EDGE" in [i.code for i in validate(g).errors]
 
 
 def test_validate_self_edge_and_duplicates():
@@ -119,7 +119,7 @@ def test_validate_self_edge_and_duplicates():
         [Node(0, L), Node(1, A), Node(1, A)],
         [(0, 1), (0, 1), (1, 1)],
     )
-    codes = validate(g).error_codes()
+    codes = [i.code for i in validate(g).errors]
     assert "SELF_EDGE" in codes
     assert "DUPLICATE_EDGE" in codes
     assert "DUPLICATE_NODE" in codes
@@ -129,10 +129,10 @@ def test_validate_empty_parents_is_warning_only():
     g = AttackGraph([Node(0, A), Node(1, O)], [])
     report = validate(g)
     assert report.ok
-    assert report.warning_codes() == ["EMPTY_PARENTS", "EMPTY_PARENTS"]
+    assert [i.code for i in report.warnings] == ["EMPTY_PARENTS", "EMPTY_PARENTS"]
     # an edge from an unknown node gives no parent row: node 1 is still empty
     dangling = validate(AttackGraph([Node(0, L, "a", 0.5), Node(1, O)], [(7, 1)]))
-    assert dangling.error_codes() == ["DANGLING_EDGE"]
+    assert [i.code for i in dangling.errors] == ["DANGLING_EDGE"]
     assert [(i.code, i.subject) for i in dangling.warnings] == [("EMPTY_PARENTS", 1)]
 
 
@@ -158,7 +158,7 @@ def test_find_cycles_ignores_duplicated_edges():
     assert [c.nodes for c in find_cycles(g)] == [(1, 2, 1)]
     assert g.parents[1] == (0, 2)
     assert sorted({dst for src, dst in g.edges if src == 2}) == [1]
-    assert validate(g).error_codes() == ["DUPLICATE_EDGE"]
+    assert [i.code for i in validate(g).errors] == ["DUPLICATE_EDGE"]
 
 
 def test_find_cycles_running_example():

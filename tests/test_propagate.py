@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybag import propagate
+from cybag.bayes import eliminate
 from cybag.errors import GraphCyclicError, UnknownNodeError
 from cybag.formats import load_fixture
 from cybag.generator import GenParams, generate
@@ -79,6 +80,19 @@ def test_closed_form_matches_on_acyclic(fig5, diamond):
     cf = solve_acyclic_closed_form(diamond)
     assert cf[3] == pytest.approx(0.75)
     assert cf == pytest.approx(solve_all(diamond))
+
+
+def test_closed_form_and_solve_all_differ_on_a_dag_with_a_loop():
+    """Or 1 feeds And 4 through Ors 2 and 3. solve_all's recursion from 4
+    reaches 1 twice and zeroes the revisit; the closed form multiplies 1's
+    value into both paths. Neither gives the exact 0.5."""
+    g = AttackGraph(
+        [Node(0, L, "", 0.5), Node(1, O), Node(2, O), Node(3, O), Node(4, A)],
+        [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+    )
+    assert solve_all(g)[4] == 0.0
+    assert solve_acyclic_closed_form(g)[4] == 0.25
+    assert eliminate(g, 4) == pytest.approx(0.5)
 
 
 def test_closed_form_rejects_cycles(two_cycle):

@@ -1,11 +1,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import attack_graphs
+from conftest import attack_graphs, cyclic_graphs
 
 from cybag.bayes import eliminate
 from cybag.circuit import reachability_exact
-from cybag.classify import classify_cycles
+from cybag.classify import CycleType, classify_cycles, closing_edge
 from cybag.formats import document_to_graph, graph_to_document
 from cybag.graph import (
     AttackGraph,
@@ -150,3 +150,42 @@ def test_raising_one_p_lowers_no_value(g, data):
             assert eliminate(h, v) >= eliminate(g, v) - 1e-12
         assert fast_after[v] >= fast_before[v]
         assert solve_node(h, v) >= solve_node(g, v)
+
+
+# Relation 4 holds for Or-headed edges only. A Type 2 cycle has no node on
+# before the target's first hit, so up to that tick an edge out of a cycle
+# node feeds an Or nothing. Cutting an And-headed edge instead removes an
+# off parent, which can let the And fire sooner; see
+# test_cutting_an_and_headed_edge_of_a_type2_cycle_can_raise_the_target.
+
+
+@given(st.one_of(attack_graphs(), cyclic_graphs()))
+@settings(max_examples=300, deadline=None)
+def test_cutting_an_or_headed_edge_of_a_type2_cycle_keeps_the_target(g):
+    cycles = find_cycles(g)
+    for target in g.node_ids if cycles else ():
+        before = reachability_exact(g, target).probability
+        for report in classify_cycles(g, cycles, target):
+            if report.cycle_type is not CycleType.TYPE2:
+                continue
+            # an And on a cycle fires after its cycle predecessor, so the
+            # first cycle node to fire, the closing edge's head, is an Or
+            assert g.kind(closing_edge(g, report.cycle)[1]) is NodeKind.OR
+            for src, dst in report.cycle.edge_list:
+                if g.kind(dst) is NodeKind.OR:
+                    cut = g.without_edge(src, dst)
+                    assert reachability_exact(cut, target).probability == before
+
+
+def test_cutting_an_and_headed_edge_of_a_type2_cycle_can_raise_the_target():
+    g = AttackGraph(
+        [Node(0, NodeKind.LEAF, "", 0.5), Node(1, NodeKind.AND), Node(2, NodeKind.OR)],
+        [(0, 2), (1, 2), (2, 1)],
+    )
+    (report,) = classify_cycles(g, find_cycles(g), 2)
+    assert report.cycle_type is CycleType.TYPE2
+    assert reachability_exact(g, 2).probability == 0.5
+    # And 1 left without parents is true, so it fires at once and feeds Or 2
+    assert reachability_exact(g.without_edge(2, 1), 2).probability == 1.0
+    assert closing_edge(g, report.cycle) == (1, 2)
+    assert reachability_exact(g.without_edge(1, 2), 2).probability == 0.5
